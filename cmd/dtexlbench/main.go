@@ -7,8 +7,6 @@
 //
 //	dtexlbench -exp fig16                 # one figure at paper resolution
 //	dtexlbench -exp all -scale 2 -par 0   # everything, half scale, parallel
-//	dtexlbench -exp all -cellpar 0        # also parallel inside each simulation
-//	                                      # (byte-identical output, see DESIGN.md §11)
 //	dtexlbench -exp fig17 -benchmarks TRu,GTr -v
 //	dtexlbench -exp abl-nuca -csv         # ablation, CSV output
 //	dtexlbench -exp fig16 -svg plots/     # also emit an SVG figure
@@ -64,7 +62,6 @@ func run() int {
 		verbose  = flag.Bool("v", false, "print per-simulation progress")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		par      = flag.Int("par", 0, "concurrent simulations for -exp all (0 = GOMAXPROCS, 1 = serial)")
-		cellPar  = flag.Int("cellpar", 1, "worker goroutines inside each simulation (1 = serial, 0 = GOMAXPROCS); output is byte-identical to serial, composes with -par")
 		svgDir   = flag.String("svg", "", "also write each experiment as <dir>/<id>.svg")
 		timing   = flag.Bool("timing", false, "print phase wall time and memo hit counts to stderr on exit")
 		keepGo   = flag.Bool("keep-going", false, "on a failed simulation, mark its cells NA and continue (exit 2 on partial results)")
@@ -109,11 +106,12 @@ func run() int {
 			}
 		}()
 	}
-	// Contention profiles for tuning the sharded parallel sequencer
-	// (DESIGN.md §11): -mutexprofile shows where workers fight over
-	// locks, -blockprofile where they sit in channel/condition waits.
-	// Rate 1 records every event — fine for a profiling run, too slow
-	// to leave on by default.
+	// Contention profiles for the concurrency around the serial
+	// simulations — the Warm worker pool and the memo single-flights
+	// (DESIGN.md §11.1): -mutexprofile shows where Warm workers fight
+	// over locks, -blockprofile where they sit waiting on a shared
+	// entry. Rate 1 records every event — fine for a profiling run, too
+	// slow to leave on by default.
 	for _, p := range []struct {
 		path, name string
 		enable     func()
@@ -167,11 +165,6 @@ func run() int {
 	r.Ctx = ctx
 	r.KeepGoing = *keepGo
 	r.RunTimeout = *cellTO
-	if *cellPar == 0 {
-		r.Parallel = -1 // Runner semantics: negative = GOMAXPROCS
-	} else {
-		r.Parallel = *cellPar
-	}
 	if *verbose {
 		r.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}

@@ -74,7 +74,6 @@ func run() int {
 		conc     = flag.Int("concurrency", 0, "full-fidelity slots (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "bounded waiting room beyond the slots (0 = 2x concurrency)")
 		cellBudg = flag.Duration("cell-timeout", 2*time.Minute, "per-simulation wall-clock budget; also the Retry-After unit")
-		cellPar  = flag.Int("cellpar", 1, "worker goroutines inside each simulation (1 = serial, 0 = GOMAXPROCS); output is byte-identical to serial")
 		grace    = flag.Duration("grace", 30*time.Second, "drain budget after SIGTERM before in-flight executors are aborted")
 		ckptDir  = flag.String("checkpoint", "", "journal completed cells under this directory; a restarted server serves them from memo")
 		storeDir = flag.String("store", "", "shared content-addressed result store directory (L2 behind the journal)")
@@ -117,11 +116,6 @@ func run() int {
 		CellBudget:    *cellBudg,
 		AuthToken:     token,
 		Logf:          logf,
-	}
-	if *cellPar == 0 {
-		cfg.Parallel = -1 // Runner semantics: negative = GOMAXPROCS
-	} else {
-		cfg.Parallel = *cellPar
 	}
 	if *chaosStr != "" {
 		chaos, err := sim.ParseChaos(*chaosStr)
@@ -239,7 +233,6 @@ func runWorker(cfg serve.Config, tlsCfg *tls.Config, client *http.Client, addr, 
 			r.Journal = cfg.Journal
 			r.Store = cfg.Store
 			r.Chaos = cfg.Chaos
-			r.Parallel = cfg.Parallel
 			r.RunTimeout = cfg.CellBudget
 			r.Progress = func(line string) { cfg.Logf("dtexld: %s", line) }
 			return r

@@ -44,10 +44,9 @@ type Stats struct {
 	Evictions uint64
 }
 
-// Add accumulates o into s. Every field is a commutative sum, so shadow
-// counters kept by concurrent workers may be folded in any order and the
-// total is identical to serial counting — the property the parallel
-// executors' sharded grants rely on (proved by TestStatsCommutative).
+// Add accumulates o into s. Every field is a commutative sum, so blocks
+// fold in any order (TestStatsCommutative); the interval sampler sums
+// per-SC and per-interval traffic with it.
 func (s *Stats) Add(o Stats) {
 	s.Accesses += o.Accesses
 	s.Hits += o.Hits
@@ -120,21 +119,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the cache's counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.ways) / c.nways }
-
-// SetIndex returns the set addr maps to. Two addresses with different
-// set indices touch disjoint tag/LRU state, so their accesses commute:
-// the sharded parallel sequencer orders accesses per set instead of
-// globally (DESIGN.md §11).
-func (c *Cache) SetIndex(addr uint64) uint64 {
-	return addr >> c.lineShift & c.setMask
-}
-
-// AddStats folds a shadow counter block into the cache's own counters
-// (see AccessInto).
-func (c *Cache) AddStats(st Stats) { c.stats.Add(st) }
-
 // Access looks up the line containing addr, allocating it on a miss
 // (allocate-on-miss, true LRU). It returns whether the access hit.
 //
@@ -142,24 +126,13 @@ func (c *Cache) AddStats(st Stats) { c.stats.Add(st) }
 // Fills insert at the front, so invalid ways can only sink toward the
 // tail and the LRU victim is always the last way.
 func (c *Cache) Access(addr uint64) bool {
-	return c.AccessInto(addr, &c.stats)
-}
-
-// AccessInto is Access with the counters accumulated into st instead of
-// the cache's own stats. The parallel executors give each worker a
-// shadow Stats block so that fills on *different* sets may run
-// concurrently: the tag/LRU mutation stays per-set (guarded by the
-// per-set shard grant), while the counters — the only cross-set shared
-// state — become commutative per-worker sums folded back via AddStats.
-// Access(addr) ≡ AccessInto(addr, &c.stats).
-func (c *Cache) AccessInto(addr uint64, st *Stats) bool {
-	st.Accesses++
+	c.stats.Accesses++
 	line := addr >> c.lineShift
 	base := int(line&c.setMask) * c.nways
 	set := c.ways[base : base+c.nways : base+c.nways]
 	want := line>>c.tagShift<<1 | 1
 	if set[0] == want {
-		st.Hits++
+		c.stats.Hits++
 		return true
 	}
 	for i := 1; i < len(set); i++ {
@@ -170,14 +143,14 @@ func (c *Cache) AccessInto(addr uint64, st *Stats) bool {
 				set[j] = set[j-1]
 			}
 			set[0] = want
-			st.Hits++
+			c.stats.Hits++
 			return true
 		}
 	}
-	st.Misses++
+	c.stats.Misses++
 	last := len(set) - 1
 	if set[last] != 0 {
-		st.Evictions++
+		c.stats.Evictions++
 	}
 	for j := last; j > 0; j-- {
 		set[j] = set[j-1]

@@ -148,6 +148,42 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
+// TestStatsCommutative pins that folding counter blocks with Stats.Add
+// is commutative and associative, so the interval sampler's per-SC and
+// per-interval sums do not depend on the order they are taken in.
+func TestStatsCommutative(t *testing.T) {
+	blocks := []Stats{
+		{Accesses: 3, Hits: 2, Misses: 1, Evictions: 1},
+		{Accesses: 10, Hits: 4, Misses: 6, Evictions: 5},
+		{Accesses: 1},
+		{Accesses: 7, Hits: 7},
+		{Misses: 9, Evictions: 2, Accesses: 9},
+	}
+	var fwd Stats
+	for _, b := range blocks {
+		fwd.Add(b)
+	}
+	var rev Stats
+	for i := len(blocks) - 1; i >= 0; i-- {
+		rev.Add(blocks[i])
+	}
+	if fwd != rev {
+		t.Errorf("Stats.Add not commutative: fwd %+v rev %+v", fwd, rev)
+	}
+	// Associativity: pre-fold a middle group, then fold the groups.
+	var mid Stats
+	mid.Add(blocks[1])
+	mid.Add(blocks[2])
+	mid.Add(blocks[3])
+	var grouped Stats
+	grouped.Add(blocks[0])
+	grouped.Add(mid)
+	grouped.Add(blocks[4])
+	if fwd != grouped {
+		t.Errorf("Stats.Add not associative: flat %+v grouped %+v", fwd, grouped)
+	}
+}
+
 func TestDirectMappedBehavior(t *testing.T) {
 	// 1-way cache: two lines in the same set always conflict.
 	c := New(Config{Name: "dm", SizeBytes: 256, LineBytes: 64, Ways: 1, HitLatency: 1})

@@ -111,79 +111,6 @@ func (h *Hierarchy) TextureAccessInfo(sc int, addr uint64) (lat int64, miss bool
 	return lat + h.DRAM.Access(addr), true
 }
 
-// TextureL1Access performs only the private-L1 half of a texture read:
-// the lookup in shader core sc's own L1 texture cache. It returns the
-// L1 latency and whether the line missed (and therefore needs a shared
-// L2/DRAM fill via TextureSharedFill). It is undefined under NUCA,
-// where the L1 level is itself shared — callers must use
-// TextureAccessInfo there.
-//
-// The split exists for the parallel executors: the L1 half touches only
-// per-SC state and may run without coordination, while the shared fill
-// must be globally ordered. TextureL1Access followed (on miss) by
-// TextureSharedFill is bit-identical to TextureAccessInfo; the
-// composition is pinned by TestTextureAccessSplitComposes.
-func (h *Hierarchy) TextureL1Access(sc int, addr uint64) (lat int64, miss bool) {
-	lat = h.cfg.L1Tex.HitLatency
-	if h.L1Tex[sc].Access(addr) {
-		return lat, false
-	}
-	return lat, true
-}
-
-// TextureSharedFill performs the shared half of a texture miss — the L2
-// lookup and, on an L2 miss, the DRAM access — and returns the
-// additional latency beyond the L1 level.
-func (h *Hierarchy) TextureSharedFill(addr uint64) int64 {
-	lat := h.cfg.L2.HitLatency
-	if h.L2.Access(addr) {
-		return lat
-	}
-	return lat + h.DRAM.Access(addr)
-}
-
-// SharedStats is a per-worker shadow of the counters a sharded texture
-// fill touches. Counters are the only state a fill shares across
-// (L2 set, DRAM bank) shards, and they are commutative sums — so fills
-// on disjoint shards may run concurrently as long as each worker counts
-// into its own SharedStats, folded back with AddSharedStats.
-type SharedStats struct {
-	L2   Stats
-	DRAM dram.Stats
-}
-
-// TextureSharedFillSharded is TextureSharedFill with the counters
-// accumulated into st. The caller must hold the shard grants for
-// L2ShardOf(addr) and DRAMBankOf(addr): the fill mutates only that L2
-// set's tag/LRU state and that DRAM bank's open-row state, so fills
-// whose shard pairs are disjoint commute (DESIGN.md §11; proved by
-// FuzzShardedOrderEquivalence).
-func (h *Hierarchy) TextureSharedFillSharded(addr uint64, st *SharedStats) int64 {
-	lat := h.cfg.L2.HitLatency
-	if h.L2.AccessInto(addr, &st.L2) {
-		return lat
-	}
-	return lat + h.DRAM.AccessInto(addr, &st.DRAM)
-}
-
-// AddSharedStats folds a worker's shadow counters into the hierarchy.
-func (h *Hierarchy) AddSharedStats(st *SharedStats) {
-	h.L2.AddStats(st.L2)
-	h.DRAM.AddStats(st.DRAM)
-	*st = SharedStats{}
-}
-
-// L2ShardOf returns the L2-set shard index of addr.
-func (h *Hierarchy) L2ShardOf(addr uint64) int { return int(h.L2.SetIndex(addr)) }
-
-// DRAMBankOf returns the DRAM-bank shard index of addr.
-func (h *Hierarchy) DRAMBankOf(addr uint64) int { return h.DRAM.BankIndex(addr) }
-
-// NumL2Shards and NumDRAMShards size the parallel sequencer's shard
-// tables.
-func (h *Hierarchy) NumL2Shards() int   { return h.L2.NumSets() }
-func (h *Hierarchy) NumDRAMShards() int { return h.DRAM.NumBanks() }
-
 // VertexAccess performs a vertex fetch through the vertex cache.
 func (h *Hierarchy) VertexAccess(addr uint64) int64 {
 	lat := h.cfg.Vertex.HitLatency

@@ -219,40 +219,3 @@ func TestNUCAHomeBanksPartitionLines(t *testing.T) {
 		}
 	}
 }
-
-// TestTextureAccessSplitComposes pins the contract the parallel
-// executors rely on: TextureL1Access followed (on miss) by
-// TextureSharedFill observes exactly the same cache state transitions
-// and total latency as TextureAccessInfo, for any access stream.
-func TestTextureAccessSplitComposes(t *testing.T) {
-	ref := testHierarchy()
-	split := testHierarchy()
-	// A deterministic pseudo-random stream mixing SCs, reuse and fresh
-	// lines, long enough to exercise L1 and L2 evictions.
-	h := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 200_000; i++ {
-		h ^= h << 13
-		h ^= h >> 7
-		h ^= h << 17
-		sc := int(h % 4)
-		addr := (h >> 8) % (1 << 22) // 4 MiB arena: larger than L2
-		wantLat, wantMiss := ref.TextureAccessInfo(sc, addr)
-		lat, miss := split.TextureL1Access(sc, addr)
-		if miss {
-			lat += split.TextureSharedFill(addr)
-		}
-		if lat != wantLat || miss != wantMiss {
-			t.Fatalf("access %d (sc=%d addr=%#x): split = (%d, %v), TextureAccessInfo = (%d, %v)",
-				i, sc, addr, lat, miss, wantLat, wantMiss)
-		}
-	}
-	if ref.L2.Stats() != split.L2.Stats() {
-		t.Fatalf("L2 stats diverged: ref %+v, split %+v", ref.L2.Stats(), split.L2.Stats())
-	}
-	if ref.DRAM.Stats() != split.DRAM.Stats() {
-		t.Fatalf("DRAM stats diverged: ref %+v, split %+v", ref.DRAM.Stats(), split.DRAM.Stats())
-	}
-	if ref.L1TexStats() != split.L1TexStats() {
-		t.Fatalf("L1 stats diverged: ref %+v, split %+v", ref.L1TexStats(), split.L1TexStats())
-	}
-}

@@ -26,15 +26,6 @@ type Stats struct {
 	RowMisses uint64
 }
 
-// Add accumulates o into s. All fields are commutative sums, so
-// per-worker shadow counters may be folded in any order (the parallel
-// executors rely on this; see cache.Stats.Add).
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-}
-
 // Model is the DRAM state: one open row per bank.
 type Model struct {
 	cfg      Config
@@ -68,41 +59,18 @@ func New(cfg Config) *Model {
 
 // Access performs one memory access and returns its latency in cycles.
 func (m *Model) Access(addr uint64) int64 {
-	return m.AccessInto(addr, &m.stats)
-}
-
-// AccessInto is Access with the counters accumulated into st instead of
-// the model's own stats. Accesses to different banks touch disjoint
-// open-row state and therefore commute; the counters are the only
-// cross-bank shared state, and a per-worker shadow folded back with
-// AddStats makes them commutative sums. Access(addr) ≡
-// AccessInto(addr, &m.stats).
-func (m *Model) AccessInto(addr uint64, st *Stats) int64 {
-	st.Accesses++
+	m.stats.Accesses++
 	row := addr >> m.rowShift
 	bank := int(row & m.bankMask)
 	if m.rowValid[bank] && m.openRow[bank] == row {
-		st.RowHits++
+		m.stats.RowHits++
 		return m.cfg.RowHitLat
 	}
-	st.RowMisses++
+	m.stats.RowMisses++
 	m.openRow[bank] = row
 	m.rowValid[bank] = true
 	return m.cfg.RowMissLat
 }
-
-// BankIndex returns the bank addr maps to — a pure function of the
-// address, so shard reservations can be taken before knowing whether the
-// access will reach DRAM at all.
-func (m *Model) BankIndex(addr uint64) int {
-	return int(addr >> m.rowShift & m.bankMask)
-}
-
-// NumBanks returns the bank count.
-func (m *Model) NumBanks() int { return m.cfg.Banks }
-
-// AddStats folds a shadow counter block into the model's own counters.
-func (m *Model) AddStats(st Stats) { m.stats.Add(st) }
 
 // Stats returns a copy of the counters.
 func (m *Model) Stats() Stats { return m.stats }

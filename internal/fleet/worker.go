@@ -28,7 +28,7 @@ type WorkerConfig struct {
 	Name string
 	// NewRunner builds the simulation runner once registration delivers
 	// the suite options. Defaults to sim.NewRunner; callers layer in
-	// journal, shared store, chaos or parallelism here.
+	// journal, shared store, chaos or a cell timeout here.
 	NewRunner func(opt sim.Options) *sim.Runner
 	// Client is the HTTP client; default has a 5-minute timeout (cells
 	// are compute-heavy and the complete POST carries the result).

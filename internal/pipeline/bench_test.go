@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"testing"
 
 	"dtexl/internal/cache"
@@ -90,43 +89,6 @@ func BenchmarkRunFrame(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRunParallel measures the prepared-frame raster phase serial
-// vs parallel (WithParallel at GOMAXPROCS) in both barrier disciplines.
-// The serial variants double as the regression reference: parallel is
-// opt-in, so the serial medians must not move. CI runs this benchmark
-// at GOMAXPROCS=1 and GOMAXPROCS=8 — the single-core run bounds the
-// sequencer's overhead, the 8-core run carries the speedup claim.
-func BenchmarkRunParallel(b *testing.B) {
-	for _, ec := range []struct {
-		name      string
-		decoupled bool
-	}{{"coupled", false}, {"decoupled", true}} {
-		for _, pc := range []struct {
-			name string
-			ctx  context.Context
-		}{
-			{"serial", context.Background()},
-			{"parallel", WithParallel(context.Background(), 0)},
-		} {
-			b.Run(ec.name+"/"+pc.name, func(b *testing.B) {
-				cfg := benchConfig()
-				cfg.Decoupled = ec.decoupled
-				scene := benchScene(b, "SWa", cfg)
-				prep, err := PrepareFrameContext(pc.ctx, scene, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := RunPreparedContext(pc.ctx, prep, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

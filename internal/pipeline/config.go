@@ -12,15 +12,12 @@
 //     Subtile, so each shader core streams straight into its next subtile
 //     as soon as it finishes its own, bounded only by the rasterizer FIFO.
 //
-// Every executor is deterministic and, by default, single-threaded. A
-// context wrapped with WithParallel opts a run into the intra-run
-// parallel executors (parallel.go): per-tile coverage construction and
-// per-shader-core stepping fan out over worker goroutines while a
-// conservative sequencer replays every shared-state access in the
-// serial executors' exact order, so the output is byte-identical to the
-// serial path — callers may memoize across the setting. The full
-// concurrency & determinism contract, including the rules future
-// policies must follow to stay inside it, is DESIGN.md §11.
+// Every executor is deterministic and single-threaded: one serial drive
+// loop per barrier discipline (coupled, decoupled, and the IMR
+// reference) steps the shader cores in ascending (clock, SC index)
+// order, the event order DTexL's cache effects depend on. Parallelism
+// lives above the pipeline, across independent simulations; the
+// concurrency & determinism contract is DESIGN.md §11.
 package pipeline
 
 import (

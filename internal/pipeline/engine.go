@@ -108,18 +108,6 @@ func rasterFrame(ctx context.Context, cfg Config, hier *cache.Hierarchy, geo Geo
 	if cfg.SampleEvery > 0 {
 		ex.es.sampler = newIntervalSampler(cfg.SampleEvery, ex.scs, hier)
 	}
-	if workers := parallelWorkers(ctx); workers > 1 && parallelEligible(ctx, cfg) {
-		// Live path without a PreparedFrame: build the policy-independent
-		// coverage skeletons up front on the worker pool (pure functions,
-		// identical to the serial per-tile computation). Gated on a nil
-		// RenderTarget because coverTile with a live target also resolves
-		// colors, whose blend order must follow the tile walk.
-		if covers == nil && cfg.RenderTarget == nil {
-			ex.raster.cov.pre = parallelCovers(cfg, geo.Primitives, binning, workers)
-			ex.perSCCapV = -1
-		}
-		ex.par = newParDrain(ctx, cfg, hier, cfg.NumSC, ex.es.sampler)
-	}
 	var err error
 	if cfg.Decoupled {
 		err = ex.runDecoupled()
@@ -188,11 +176,6 @@ type executor struct {
 	// tile for stall dumps.
 	wd                   watchdog
 	curSeq, curTX, curTY int
-
-	// par, when non-nil, runs the barrier-to-barrier drains on one
-	// worker per SC with output byte-identical to the serial loops
-	// (see parallel.go); nil keeps the executors fully serial.
-	par *parDrain
 
 	// pool recycles tileWork units (with their perSC and ownCov backing
 	// arrays) across tiles; perSCCapV caches the presize for their perSC
@@ -470,19 +453,6 @@ func (ex *executor) drainAll() error {
 			return ex.stallErr("coupled", "injected chaos stall")
 		}
 	}
-	if ex.par != nil {
-		if ran, reason, err := ex.par.drain(ex.scs); ran {
-			if err != nil {
-				return err
-			}
-			if reason != "" {
-				return ex.stallErr("coupled", reason)
-			}
-			ex.par.merge(&ex.es.events)
-			return nil
-		}
-		// Fewer than two pending SCs: fall through to the serial loop.
-	}
 	scs := ex.scs
 	for {
 		var best *scState
@@ -581,10 +551,6 @@ func (ex *executor) runDecoupled() error {
 
 	ex.extendWindow()
 
-	if ex.par != nil {
-		return ex.runDecoupledParallel()
-	}
-
 	for ex.wd.chaos {
 		if ex.wd.chaosTick() {
 			return ex.stallErr("decoupled", "injected chaos stall")
@@ -679,9 +645,7 @@ func (ex *executor) runDecoupled() error {
 const neverFailed = ^uint64(0)
 
 // decAdvance moves sc's input to its next non-empty subtile stream,
-// returning false when it must wait for the window. It touches the
-// shared hierarchy (bank flush, window extension), so under the
-// parallel drain it must only run while holding the sequencer grant.
+// returning false when it must wait for the window.
 func (ex *executor) decAdvance(sc *scState) bool {
 	if sc.inTile != nil && len(sc.inTile.perSC[sc.id]) > 0 {
 		// Bank flush of the subtile just drained (16 lines, §III-E).

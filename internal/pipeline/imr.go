@@ -72,9 +72,6 @@ func RunIMRContext(ctx context.Context, scene *trace.Scene, cfg Config) (*Metric
 	if cfg.SampleEvery > 0 {
 		im.es.sampler = newIntervalSampler(cfg.SampleEvery, im.scs, hier)
 	}
-	if workers := parallelWorkers(ctx); workers > 1 && parallelEligible(ctx, cfg) {
-		im.par = newParDrain(ctx, cfg, hier, cfg.NumSC, im.es.sampler)
-	}
 	if err := im.run(geo.Primitives); err != nil {
 		return nil, err
 	}
@@ -121,10 +118,6 @@ type imrExecutor struct {
 
 	wd     watchdog
 	curSeq int // in-flight primitive batch, for stall dumps
-
-	// par, when non-nil, drains each batch on one worker per SC with
-	// byte-identical output (see parallel.go).
-	par *parDrain
 
 	samplers [3]texture.Sampler
 }
@@ -176,19 +169,6 @@ func (im *imrExecutor) run(prims []Primitive) error {
 			if im.wd.chaosTick() {
 				return im.stallErr("injected chaos stall")
 			}
-		}
-		if im.par != nil {
-			if ran, reason, err := im.par.drain(im.scs); ran {
-				if err != nil {
-					return err
-				}
-				if reason != "" {
-					return im.stallErr(reason)
-				}
-				im.par.merge(&im.es.events)
-				continue
-			}
-			// Fewer than two pending SCs: use the serial loop below.
 		}
 		// Same min/runner-up tracker as the TBR drainAll: IMR has no
 		// retire callback, so only the stepped SC's state can change

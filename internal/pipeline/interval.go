@@ -10,12 +10,10 @@ import (
 // and deterministic: each SC contributes its own state at its own first
 // scheduling event on or after B_k, and the texture-fill L2 traffic is
 // bucketed by the issuing SC's clock. Nothing in the series depends on
-// the relative progress of different SCs at observation time, which is
-// what lets the parallel drains keep sampling enabled (DESIGN.md §11):
-// every sampler write is indexed by the recording SC, so workers touch
-// disjoint state and the assembled series is bit-identical to the
-// serial run's. Sampling records only reads of existing state: enabling
-// it never changes the simulated timing, traffic or image.
+// the relative progress of different SCs at observation time: every
+// sampler write is indexed by the recording SC. Sampling records only
+// reads of existing state: enabling it never changes the simulated
+// timing, traffic or image.
 //
 // The per-SC series are ring-buffered (maxIntervals boundaries), so a
 // long frame cannot grow memory without bound; the retained window is
@@ -62,7 +60,7 @@ type Interval struct {
 // boundary index k, of the SC's state at its crossing of each boundary.
 // Slot (k-1)%seriesCap holds boundary k; entries are valid for
 // k in (lastK-seriesCap, lastK]. Values are written by the SC's own
-// stepping goroutine only.
+// steps only.
 type scSeries struct {
 	lastK int64
 	occ   []int32
@@ -73,8 +71,7 @@ type scSeries struct {
 
 // l2Buckets is one SC's texture-fill L2 traffic, bucketed by boundary
 // index with the same ring layout as scSeries. Written only by the SC's
-// own goroutine (in the parallel drains the deltas come from the
-// worker's private shadow stats).
+// own texture samples.
 type l2Buckets struct {
 	lastK int64
 	d     []cache.Stats
@@ -83,9 +80,7 @@ type l2Buckets struct {
 // intervalSampler drives the periodic records. A nil sampler (the
 // SampleEvery == 0 default) costs the executors one pointer comparison
 // per scheduling step and nothing else. All mutable state is indexed by
-// SC id and touched only by the goroutine stepping that SC, so one
-// sampler is shared race-free by the serial executors and every
-// parallel drain worker.
+// SC id and touched only by that SC's steps.
 type intervalSampler struct {
 	every int64
 	scs   []*scState

@@ -76,14 +76,6 @@ func (p *PreparedFrame) Key() FrontKey { return p.key }
 // must be nil: coverage with a live render target also resolves colors,
 // which must happen on the live path.
 func PrepareFrame(scene *trace.Scene, cfg Config) (*PreparedFrame, error) {
-	return PrepareFrameContext(context.Background(), scene, cfg)
-}
-
-// PrepareFrameContext is PrepareFrame under a context. A WithParallel
-// context builds the per-tile coverage skeletons on the worker pool —
-// coverage is a pure function per tile, so the prepared frame is
-// byte-identical to a serial preparation.
-func PrepareFrameContext(ctx context.Context, scene *trace.Scene, cfg Config) (*PreparedFrame, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -106,16 +98,12 @@ func PrepareFrameContext(ctx context.Context, scene *trace.Scene, cfg Config) (*
 		key:          FrontKeyOf(cfg),
 	}
 	t1 := time.Now()
-	if workers := parallelWorkers(ctx); workers > 1 {
-		p.covers = parallelCovers(cfg, geo.Primitives, binning, workers)
-	} else {
-		cov := newCoverer(cfg, geo.Primitives, binning)
-		tilesX, tilesY := cfg.TilesX(), cfg.TilesY()
-		p.covers = make([]*tileCover, tilesX*tilesY)
-		for ty := 0; ty < tilesY; ty++ {
-			for tx := 0; tx < tilesX; tx++ {
-				p.covers[ty*tilesX+tx] = cov.coverTile(tx, ty, nil)
-			}
+	cov := newCoverer(cfg, geo.Primitives, binning)
+	tilesX, tilesY := cfg.TilesX(), cfg.TilesY()
+	p.covers = make([]*tileCover, tilesX*tilesY)
+	for ty := 0; ty < tilesY; ty++ {
+		for tx := 0; tx < tilesX; tx++ {
+			p.covers[ty*tilesX+tx] = cov.coverTile(tx, ty, nil)
 		}
 	}
 	p.CoverageTime = time.Since(t1)

@@ -186,10 +186,7 @@ func (sc *scState) step(e *engineState) bool {
 // schedule picks the warp to issue per the warp-scheduling policy among
 // the warps whose ready time is at or before the clock; best/minReady
 // come from the caller's scan of sc.ready. It mutates nothing — the
-// round-robin rotation pointer to store on issue is returned instead —
-// so the parallel planner (plan) shares the exact pick logic with step.
-// The two must never diverge: the worker loops assert after every step
-// that a private-planned step performed no shared operation.
+// round-robin rotation pointer to store on issue is returned instead.
 func (sc *scState) schedule(e *engineState, best int, minReady int64) (pick, rrNext int) {
 	pick, rrNext = best, sc.rrNext
 	ready := sc.ready
@@ -227,80 +224,6 @@ func (sc *scState) schedule(e *engineState, best int, minReady int64) (pick, rrN
 	return pick, rrNext
 }
 
-// plan computes, without mutating anything, a conservative lower bound
-// on the key of sc's next *shared* operation — its lookahead horizon —
-// and whether the upcoming scheduling step is provably free of shared
-// operations. The parallel workers publish the horizon before stepping
-// (DESIGN.md §11): a jump step publishes its jump target (the SC cannot
-// act at all before then), and a provably-private execute step
-// publishes the post-step clock, so peers with smaller keys proceed
-// instead of waiting on this SC's pessimistic current clock.
-//
-// Privacy proofs, case by case:
-//   - admission possible: pessimistic. Prefetch fills are shared, and
-//     even without prefetch the admitted warps change the pick below.
-//   - prefetched warp, stage < samples: exec touches only the warp's
-//     recorded fill times — private.
-//   - demand warp whose whole span is resident in the SC's own L1:
-//     exec performs pure L1 hits (no insertion, no shared fill) —
-//     private. Contains does not touch LRU state, and only this SC
-//     mutates its L1, so the probe cannot go stale before the step.
-//   - retire step: shared only when a retire hook is installed (the
-//     decoupled executor's window bookkeeping); the coupled and IMR
-//     drains retire locally.
-func (sc *scState) plan(e *engineState) (horizon int64, private bool) {
-	if sc.inTile != nil && sc.inGate <= sc.clock &&
-		sc.hasInput() && len(sc.warps) < e.cfg.WarpSlots {
-		return sc.clock, false
-	}
-	best := -1
-	minReady := int64(1)<<62 - 1
-	for i, r := range sc.ready {
-		if r < minReady {
-			minReady = r
-			best = i
-		}
-	}
-	if best >= 0 && minReady <= sc.clock {
-		pick, _ := sc.schedule(e, best, minReady)
-		w := &sc.warps[pick]
-		seg := int64(w.segN)
-		if w.stage == 0 {
-			seg = int64(w.seg0)
-		}
-		if w.stage < w.samples {
-			if w.prefetched {
-				return sc.clock + seg, true
-			}
-			cov := w.tile.cov
-			sp := cov.spans[w.firstSpan+int32(w.stage)]
-			for _, line := range cov.lines[sp.off : sp.off+sp.n] {
-				if !e.hier.L1Tex[sc.id].Contains(line) {
-					return sc.clock, false
-				}
-			}
-			return sc.clock + seg, true
-		}
-		if e.retire != nil {
-			return sc.clock, false
-		}
-		return sc.clock + seg, true
-	}
-	next := int64(-1)
-	if best >= 0 {
-		next = minReady
-	}
-	if sc.hasInput() && len(sc.warps) < e.cfg.WarpSlots && sc.inGate > sc.clock {
-		if next < 0 || sc.inGate < next {
-			next = sc.inGate
-		}
-	}
-	if next <= sc.clock {
-		return sc.clock, false // blocked: the watchdog deals with it
-	}
-	return next, true
-}
-
 // exec runs one stage of warp w: its compute segment and, if stages
 // remain, its next texture sample.
 func (sc *scState) exec(e *engineState, wi int) {
@@ -325,7 +248,7 @@ func (sc *scState) exec(e *engineState, wi int) {
 		} else {
 			cov := w.tile.cov
 			sp := cov.spans[w.firstSpan+int32(w.stage)]
-			ready = sc.accessSample(e, cov, sp, true)
+			ready = sc.accessSample(e, cov, sp)
 		}
 		w.stage++
 		sc.ready[wi] = ready
@@ -347,16 +270,8 @@ func (sc *scState) exec(e *engineState, wi int) {
 
 // accessSample walks one sample's cache lines at the current clock and
 // returns when its data is complete: hits pipeline under the base
-// latency; misses queue on the SC's L1 fill ports. demand distinguishes
-// exec's demand fetch — the final action of its scheduling step — from
-// admission-time prefetching, which may be followed by more shared
-// fills in the same step; the parallel gate uses the distinction to
-// release the sequencer grant early (see drainGate.sharedFills).
-func (sc *scState) accessSample(e *engineState, cov *tileCover, sp span, demand bool) int64 {
-	if e.gate != nil {
-		// Parallel drain: batch the span through the sharded gate.
-		return sc.accessSampleGated(e, cov, sp, demand)
-	}
+// latency; misses queue on the SC's L1 fill ports.
+func (sc *scState) accessSample(e *engineState, cov *tileCover, sp span) int64 {
 	if sc.fillFree == nil {
 		sc.fillFree = make([]int64, e.cfg.L1FillPorts)
 	}
@@ -409,15 +324,12 @@ func (sc *scState) prefetch(e *engineState, w *warpState) {
 	cov := w.tile.cov
 	for s := int8(0); s < w.samples; s++ {
 		sp := cov.spans[w.firstSpan+int32(s)]
-		w.fills[s] = sc.accessSample(e, cov, sp, false)
+		w.fills[s] = sc.accessSample(e, cov, sp)
 	}
 	w.prefetched = true
 }
 
-// engineState is the shared execution context the SCs run against. The
-// serial executors use one; the parallel drains give each worker its own
-// (events become a per-worker shadow merged in fixed SC order, and gate
-// routes shared-memory traffic through the sequencer — see parallel.go).
+// engineState is the shared execution context the SCs run against.
 type engineState struct {
 	cfg    Config
 	hier   *cache.Hierarchy
@@ -428,7 +340,4 @@ type engineState struct {
 	// time series; nil (the default) keeps the hot path at one pointer
 	// comparison per step.
 	sampler *intervalSampler
-	// gate, when non-nil, marks a parallel drain: texture accesses go
-	// through it instead of hitting the hierarchy directly.
-	gate *drainGate
 }

@@ -67,11 +67,6 @@ type Config struct {
 	// smoke runs the service with an injected livelock to prove stalls
 	// surface as structured 500s, not process death.
 	Chaos *sim.ChaosConfig
-	// Parallel, when > 1 (or < 0 for GOMAXPROCS), runs each simulation's
-	// frame preparation and raster phase on that many worker goroutines.
-	// Output is byte-identical to the serial path (DESIGN.md §11), so
-	// the journal and memos are shared across settings. Default serial.
-	Parallel int
 	// AuthToken, when set, gates the /v1/* API behind bearer-token auth.
 	// Health probes (/healthz, /readyz, /workerz) stay open — orchestrator
 	// liveness checks cannot carry secrets.
@@ -180,7 +175,6 @@ func (s *Server) runner(scale, frames int) *sim.Runner {
 	r.Journal = s.cfg.Journal
 	r.Store = s.cfg.Store
 	r.Chaos = s.cfg.Chaos
-	r.Parallel = s.cfg.Parallel
 	s.runners[key] = r
 	return r
 }

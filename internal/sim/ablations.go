@@ -368,9 +368,6 @@ func (r *Runner) BgIMR() (*Table, error) {
 // applied here rather than inherited from it.
 func (r *Runner) runIMR(scene *trace.Scene, cfg pipeline.Config) (m *pipeline.Metrics, err error) {
 	ctx := r.baseCtx()
-	if r.Parallel > 1 || r.Parallel < 0 {
-		ctx = pipeline.WithParallel(ctx, r.Parallel)
-	}
 	if r.RunTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.RunTimeout)

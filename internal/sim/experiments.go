@@ -156,12 +156,6 @@ type Runner struct {
 	// Individual simulations are single-threaded and independent; results
 	// are deterministic regardless of completion order.
 	Parallelism int
-	// Parallel, when > 1 (or < 0 for GOMAXPROCS), runs each simulation's
-	// raster phase and frame preparation on that many worker goroutines
-	// (pipeline.WithParallel). Output is byte-identical to the serial
-	// path — the memo keys deliberately ignore it — so intra-run and
-	// across-run parallelism compose freely; see DESIGN.md §11.
-	Parallel int
 	// PrepBudget bounds the bytes retained by memoized frame
 	// preparations (0 = a 4 GiB default); least-recently-used
 	// preparations beyond it are dropped and recomputed on demand.

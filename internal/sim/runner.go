@@ -6,11 +6,10 @@
 // Runs are memoized at three layers (scene store, preparation store,
 // simulation memo), each single-flighted so concurrent Warm workers
 // never duplicate a computation, and each cancellation-safe: a waiter
-// whose context ends detaches without poisoning the shared entry. Two
-// axes of parallelism compose on top — Runner.Parallelism runs whole
-// simulations concurrently, Runner.Parallel fans each simulation's
-// raster phase out over worker goroutines with byte-identical output
-// (DESIGN.md §11), so memo entries are shared across every setting.
+// whose context ends detaches without poisoning the shared entry.
+// Runner.Parallelism runs whole simulations concurrently; each
+// simulation is itself serial and deterministic, so results do not
+// depend on the setting (DESIGN.md §11).
 package sim
 
 import (
@@ -183,12 +182,6 @@ func (r *Runner) RunOneCtx(reqCtx context.Context, alias string, pol core.Policy
 			ctx, cancel = context.WithTimeout(ctx, r.RunTimeout)
 			defer cancel()
 		}
-		if r.Parallel > 1 || r.Parallel < 0 {
-			// Intra-run parallelism rides on the context, not the key: the
-			// parallel executors are byte-identical to the serial ones, so
-			// serial and parallel callers share memo entries freely.
-			ctx = pipeline.WithParallel(ctx, r.Parallel)
-		}
 		if r.Chaos.matches(alias, pol.Name) {
 			switch r.Chaos.Mode {
 			case ChaosPanic:
@@ -221,7 +214,7 @@ func (r *Runner) RunOneCtx(reqCtx context.Context, alias string, pol core.Policy
 			pk := prepKey{Alias: alias, Seed: r.Opt.Seed, Front: pipeline.FrontKeyOf(cfg)}
 			t1 := time.Now()
 			prep, err := r.prepStoreLazy().do(ctx, pk, func() (*pipeline.PreparedFrame, error) {
-				p, perr := pipeline.PrepareFrameContext(ctx, scenes[0], cfg)
+				p, perr := pipeline.PrepareFrame(scenes[0], cfg)
 				if perr == nil {
 					// Attribute the build split inside the memo body so only
 					// the worker that actually built the frame counts it.
