@@ -61,7 +61,7 @@ func run() int {
 		frames   = flag.Int("frames", 1, "animation frames per simulation (warm caches)")
 		verbose  = flag.Bool("v", false, "print per-simulation progress")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		par      = flag.Int("par", 0, "concurrent simulations for -exp all (0 = GOMAXPROCS, 1 = serial)")
+		par      = flag.Int("par", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 		svgDir   = flag.String("svg", "", "also write each experiment as <dir>/<id>.svg")
 		timing   = flag.Bool("timing", false, "print phase wall time and memo hit counts to stderr on exit")
 		keepGo   = flag.Bool("keep-going", false, "on a failed simulation, mark its cells NA and continue (exit 2 on partial results)")
@@ -107,8 +107,8 @@ func run() int {
 		}()
 	}
 	// Contention profiles for the concurrency around the serial
-	// simulations — the Warm worker pool and the memo single-flights
-	// (DESIGN.md §11.1): -mutexprofile shows where Warm workers fight
+	// simulations — the Runner's worker pool and the memo single-flights
+	// (DESIGN.md §11.1): -mutexprofile shows where pool workers fight
 	// over locks, -blockprofile where they sit waiting on a shared
 	// entry. Rate 1 records every event — fine for a profiling run, too
 	// slow to leave on by default.
@@ -163,6 +163,7 @@ func run() int {
 	r := sim.NewRunner(opt)
 	r.CSV = *csv
 	r.Ctx = ctx
+	r.Parallelism = *par
 	r.KeepGoing = *keepGo
 	r.RunTimeout = *cellTO
 	if *verbose {
@@ -202,7 +203,6 @@ func run() int {
 		ids = sim.ExperimentIDs()
 		// Pre-run the figure simulations in parallel; the experiment
 		// renderers below then assemble tables from the cache.
-		r.Parallelism = *par
 		if err := r.WarmAll(); err != nil {
 			return fatal(err)
 		}

@@ -164,3 +164,34 @@ func TestCoupledSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("coupled steady state allocates %.2f allocs/tile, want 0", avg)
 	}
 }
+
+// TestPreparedSizeBytesCoversRetainedSlices: PrepBudget's LRU evicts on
+// SizeBytes, so the estimate must never fall below the backing arrays a
+// prepared frame actually retains — the primitives, the bin lists and
+// every slice field of every tile cover, each at its capacity times its
+// element's real size.
+func TestPreparedSizeBytesCoversRetainedSlices(t *testing.T) {
+	backing := func(v reflect.Value) int64 { return int64(v.Cap()) * int64(v.Type().Elem().Size()) }
+	for _, alias := range []string{"SWa", "CCS", "TRu"} {
+		cfg := testConfig()
+		prep, err := PrepareFrame(testScene(t, alias, cfg), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := backing(reflect.ValueOf(prep.Geometry.Primitives))
+		for _, l := range prep.Binning.Lists {
+			retained += backing(reflect.ValueOf(l))
+		}
+		for _, c := range prep.covers {
+			v := reflect.ValueOf(*c)
+			for i := 0; i < v.NumField(); i++ {
+				if v.Field(i).Kind() == reflect.Slice {
+					retained += backing(v.Field(i))
+				}
+			}
+		}
+		if est := prep.SizeBytes(); est < retained {
+			t.Errorf("%s: SizeBytes %d below the %d retained slice bytes", alias, est, retained)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"dtexl/internal/cache"
 	"dtexl/internal/dram"
@@ -98,33 +99,59 @@ func PrepareFrame(scene *trace.Scene, cfg Config) (*PreparedFrame, error) {
 		key:          FrontKeyOf(cfg),
 	}
 	t1 := time.Now()
+	// Every tile is covered into one reused scratch cover and kept as an
+	// exact-length copy: a retained cover holds no growth slack.
 	cov := newCoverer(cfg, geo.Primitives, binning)
 	tilesX, tilesY := cfg.TilesX(), cfg.TilesY()
-	p.covers = make([]*tileCover, tilesX*tilesY)
+	covers := make([]tileCover, tilesX*tilesY)
+	p.covers = make([]*tileCover, len(covers))
+	var scratch tileCover
 	for ty := 0; ty < tilesY; ty++ {
 		for tx := 0; tx < tilesX; tx++ {
-			p.covers[ty*tilesX+tx] = cov.coverTile(tx, ty, nil)
+			i := ty*tilesX + tx
+			c := cov.coverTile(tx, ty, &scratch)
+			covers[i] = *c
+			covers[i].quads = exactCopy(c.quads)
+			covers[i].spans = exactCopy(c.spans)
+			covers[i].lines = exactCopy(c.lines)
+			p.covers[i] = &covers[i]
 		}
 	}
 	p.CoverageTime = time.Since(t1)
 	return p, nil
 }
 
+// exactCopy returns a copy of s whose capacity equals its length (nil
+// when s is empty), so it retains no slack and no reference to s.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
 // SizeBytes estimates the retained memory of the prepared frame, for
-// cache budgeting.
+// cache budgeting. Every retained slice counts at its capacity times its
+// element's real size, so the estimate never falls below the slice
+// bytes actually held.
 func (p *PreparedFrame) SizeBytes() int64 {
 	var n int64 = 1 << 12 // struct + snapshot overhead
-	n += int64(len(p.Geometry.Primitives)) * 256
+	n += sliceBytes(p.Geometry.Primitives)
+	n += sliceBytes(p.Binning.Lists)
 	for _, l := range p.Binning.Lists {
-		n += int64(len(l)) * 4
+		n += sliceBytes(l)
 	}
+	n += sliceBytes(p.covers)
 	for _, c := range p.covers {
-		if c == nil {
-			continue
-		}
-		n += int64(len(c.quads))*12 + int64(len(c.spans))*8 + int64(len(c.lines))*8 + 64
+		n += int64(unsafe.Sizeof(*c)) + sliceBytes(c.quads) + sliceBytes(c.spans) + sliceBytes(c.lines)
 	}
 	return n
+}
+
+// sliceBytes is the size of s's backing array.
+func sliceBytes[T any](s []T) int64 {
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
 }
 
 // RunPrepared simulates one frame's raster phase on top of a prepared

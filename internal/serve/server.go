@@ -170,6 +170,10 @@ func (s *Server) runner(scale, frames int) *sim.Runner {
 	opt.Frames = frames
 	r := sim.NewRunner(opt)
 	r.Ctx = s.base
+	// One admitted request runs one simulation at a time, which is what
+	// sizes the full lane's slots: an experiment render stays serial
+	// instead of fanning its rows out inside a single slot.
+	r.Parallelism = 1
 	r.RunTimeout = s.cfg.CellBudget
 	r.PrepBudget = s.cfg.PrepBudget
 	r.Journal = s.cfg.Journal

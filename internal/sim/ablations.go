@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/debug"
 
 	"dtexl/internal/core"
@@ -323,42 +322,33 @@ func (r *Runner) BgIMR() (*Table, error) {
 		Metric: "IMR / TBR ratio per benchmark",
 		Cols:   r.cols(),
 	}
-	// One IMR run feeds both rows, so the loop is bespoke: under
-	// KeepGoing a failed benchmark goes NA in both.
-	var dramRow, cycRow []float64
-	for _, alias := range r.Opt.aliases() {
-		alias := alias
-		dram, cyc, err := func() (float64, float64, error) {
-			tbr, err := r.run(alias, core.Baseline(), false)
-			if err != nil {
-				return 0, 0, err
-			}
-			cfg := pipeline.DefaultConfig()
-			cfg.Width, cfg.Height = r.Opt.Width, r.Opt.Height
-			scene, err := r.scene(alias)
-			if err != nil {
-				return 0, 0, err
-			}
-			imr, err := r.runIMR(scene, cfg)
-			if err != nil {
-				return 0, 0, err
-			}
-			return float64(imr.Events.DRAMAccesses) / float64(tbr.Metrics.Events.DRAMAccesses),
-				float64(imr.Cycles) / float64(tbr.Metrics.Cycles), nil
-		}()
+	// One IMR run feeds both rows: a failed benchmark goes NA in both.
+	rows, err := r.sharedRows("IMR/TBR", 2, func(alias string) ([]float64, error) {
+		tbr, err := r.run(alias, core.Baseline(), false)
 		if err != nil {
-			if !r.KeepGoing {
-				return nil, err
-			}
-			r.recordFailure(alias, "IMR/TBR", err)
-			dram, cyc = math.NaN(), math.NaN()
+			return nil, err
 		}
-		dramRow = append(dramRow, dram)
-		cycRow = append(cycRow, cyc)
+		cfg := pipeline.DefaultConfig()
+		cfg.Width, cfg.Height = r.Opt.Width, r.Opt.Height
+		scene, err := r.scene(alias)
+		if err != nil {
+			return nil, err
+		}
+		imr, err := r.runIMR(scene, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{
+			float64(imr.Events.DRAMAccesses) / float64(tbr.Metrics.Events.DRAMAccesses),
+			float64(imr.Cycles) / float64(tbr.Metrics.Cycles),
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Rows = append(t.Rows,
-		TableRow{Name: "DRAM traffic (IMR/TBR)", Values: withMean(dramRow)},
-		TableRow{Name: "cycles (IMR/TBR)", Values: withMean(cycRow)},
+		TableRow{Name: "DRAM traffic (IMR/TBR)", Values: withMean(rows[0])},
+		TableRow{Name: "cycles (IMR/TBR)", Values: withMean(rows[1])},
 	)
 	return t, nil
 }
@@ -407,33 +397,26 @@ func (r *Runner) AblNUCA() (*Table, error) {
 		v := v
 		mutate := func(cfg *pipeline.Config) { cfg.Hierarchy.NUCA = v.nuca }
 		// One run feeds both rows; a failed benchmark goes NA in both.
-		var spdRow, l2Row []float64
-		for _, alias := range r.Opt.aliases() {
-			spd, l2, err := func() (float64, float64, error) {
-				base, err := r.run(alias, core.Baseline(), false)
-				if err != nil {
-					return 0, 0, err
-				}
-				res, err := r.RunOneWith(alias, v.pol, mutate)
-				if err != nil {
-					return 0, 0, err
-				}
-				return float64(base.Metrics.Cycles) / float64(res.Metrics.Cycles),
-					pctDecrease(base.Metrics.L2Accesses(), res.Metrics.L2Accesses()), nil
-			}()
+		rows, err := r.sharedRows(v.name, 2, func(alias string) ([]float64, error) {
+			base, err := r.run(alias, core.Baseline(), false)
 			if err != nil {
-				if !r.KeepGoing {
-					return nil, err
-				}
-				r.recordFailure(alias, v.name, err)
-				spd, l2 = math.NaN(), math.NaN()
+				return nil, err
 			}
-			spdRow = append(spdRow, spd)
-			l2Row = append(l2Row, l2)
+			res, err := r.RunOneWith(alias, v.pol, mutate)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{
+				float64(base.Metrics.Cycles) / float64(res.Metrics.Cycles),
+				pctDecrease(base.Metrics.L2Accesses(), res.Metrics.L2Accesses()),
+			}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.Rows = append(t.Rows,
-			TableRow{Name: "speedup: " + v.name, Values: withGeoMean(spdRow)},
-			TableRow{Name: "L2 dec%: " + v.name, Values: withMean(l2Row)},
+			TableRow{Name: "speedup: " + v.name, Values: withGeoMean(rows[0])},
+			TableRow{Name: "L2 dec%: " + v.name, Values: withMean(rows[1])},
 		)
 	}
 	return t, nil

@@ -280,11 +280,17 @@ func TestRunExperimentAllIDs(t *testing.T) {
 	}
 }
 
+// TestWarmAllMatchesSerial: neither Warm's pool nor the per-row fan-out
+// may change a byte. Fig. 17 after a parallel WarmAll matches a serial
+// Runner's, and every ablation plus bg-imr — rendered without a warm-up,
+// so each row's simulations run on the pool — renders the same bytes at
+// Parallelism 1 and 4.
 func TestWarmAllMatchesSerial(t *testing.T) {
 	opt := ScaledOptions(8)
 	opt.Benchmarks = []string{"SWa"}
 
 	serial := NewRunner(opt)
+	serial.Parallelism = 1
 	fSerial, err := serial.Fig17()
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +311,29 @@ func TestWarmAllMatchesSerial(t *testing.T) {
 				t.Fatalf("parallel warm changed results: %v vs %v",
 					fPar.Rows[i].Values, fSerial.Rows[i].Values)
 			}
+		}
+	}
+
+	opt = ScaledOptions(16)
+	opt.Benchmarks = []string{"TRu", "CCS"}
+	pars := []int{1, 4}
+	runners := make([]*Runner, len(pars))
+	for i, par := range pars {
+		runners[i] = NewRunner(opt)
+		runners[i].Parallelism = par
+	}
+	for _, id := range ExperimentIDs() {
+		if !strings.HasPrefix(id, "abl-") && id != "bg-imr" {
+			continue
+		}
+		outs := make([]bytes.Buffer, len(pars))
+		for i, r := range runners {
+			if err := r.RunExperiment(id, &outs[i]); err != nil {
+				t.Fatalf("%s at Parallelism %d: %v", id, pars[i], err)
+			}
+		}
+		if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+			t.Errorf("%s at Parallelism 4 differs from serial:\n%s\nwant:\n%s", id, &outs[1], &outs[0])
 		}
 	}
 }

@@ -145,16 +145,18 @@ func (t *ViolinTable) Render(w io.Writer) {
 //     configuration (e.g. DTexL and HLB-flp2) run once.
 //
 // All three layers are single-flight and safe for concurrent use from
-// Warm's worker pool.
+// the Runner's worker pool (fanOut).
 type Runner struct {
 	Opt Options
 	// Progress, if set, receives a line per completed simulation.
 	Progress func(string)
 	// CSV switches RunExperiment's output from aligned text to CSV.
 	CSV bool
-	// Parallelism bounds concurrent simulations in Warm (0 = GOMAXPROCS).
-	// Individual simulations are single-threaded and independent; results
-	// are deterministic regardless of completion order.
+	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS, 1 =
+	// serial), both in Warm and across the benchmarks of each experiment
+	// row. Individual simulations are single-threaded and independent;
+	// results, failures and errors are deterministic regardless of
+	// completion order.
 	Parallelism int
 	// PrepBudget bounds the bytes retained by memoized frame
 	// preparations (0 = a 4 GiB default); least-recently-used
@@ -266,24 +268,100 @@ func (r *Runner) baseCtx() context.Context {
 	return context.Background()
 }
 
-// rowCells assembles one table row: get runs (memoized) simulations for
-// one benchmark and returns the cell value. Under KeepGoing a failed
-// cell becomes NaN — rendered "NA" — with the failure recorded against
-// series; otherwise the first error aborts the experiment.
-func (r *Runner) rowCells(series string, get func(alias string) (float64, error)) ([]float64, error) {
-	var row []float64
-	for _, alias := range r.Opt.aliases() {
-		v, err := get(alias)
-		if err != nil {
-			if !r.KeepGoing {
-				return nil, err
+// fanOut calls do(i) for every i in [0, n) on at most Parallelism
+// goroutines (0 = GOMAXPROCS; 1 runs the calls inline), starting them in
+// index order; do names the cell it ran and returns its error. Under
+// KeepGoing every call runs and the failures are recorded in index
+// order. Otherwise no call starts after one fails, and fanOut returns
+// the lowest-index error: every call below a failing index has started
+// by then, so it is the error a serial loop would have stopped at.
+func (r *Runner) fanOut(n int, do func(i int) (alias, series string, err error)) error {
+	fails := make([]CellFailure, n)
+	var next atomic.Int64
+	var stop atomic.Bool
+	work := func() {
+		for !stop.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-			r.recordFailure(alias, series, err)
-			v = math.NaN()
+			f := &fails[i]
+			if f.Bench, f.Series, f.Err = do(i); f.Err != nil && !r.KeepGoing {
+				stop.Store(true)
+			}
 		}
-		row = append(row, v)
 	}
-	return row, nil
+	workers := r.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, f := range fails {
+		if f.Err == nil {
+			continue
+		}
+		if !r.KeepGoing {
+			return f.Err
+		}
+		r.recordFailure(f.Bench, f.Series, f.Err)
+	}
+	return nil
+}
+
+// sharedRows assembles k table rows that share their simulations: get
+// runs (memoized) simulations for one benchmark and returns its k cell
+// values, one per row. The benchmarks run side by side on fanOut's pool
+// and each value lands in its benchmark's column, so the rows do not
+// depend on completion order. Under KeepGoing a failed benchmark's k
+// cells become NaN — rendered "NA" — with the failure recorded against
+// series; otherwise the first failing benchmark's error aborts the
+// experiment.
+func (r *Runner) sharedRows(series string, k int, get func(alias string) ([]float64, error)) ([][]float64, error) {
+	aliases := r.Opt.aliases()
+	rows := make([][]float64, k)
+	for j := range rows {
+		rows[j] = make([]float64, len(aliases))
+	}
+	err := r.fanOut(len(aliases), func(i int) (string, string, error) {
+		vals, err := get(aliases[i])
+		for j := range rows {
+			if err != nil {
+				rows[j][i] = math.NaN()
+			} else {
+				rows[j][i] = vals[j]
+			}
+		}
+		return aliases[i], series, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// rowCells assembles one table row: sharedRows with one value per
+// benchmark.
+func (r *Runner) rowCells(series string, get func(alias string) (float64, error)) ([]float64, error) {
+	rows, err := r.sharedRows(series, 1, func(alias string) ([]float64, error) {
+		v, err := get(alias)
+		return []float64{v}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
 }
 
 // NewRunner returns a Runner over the given options.
@@ -317,88 +395,27 @@ type runJob struct {
 	UpperBound bool
 }
 
-// Warm executes the given simulations concurrently (bounded by
+// Warm executes the given simulations on fanOut's pool (bounded by
 // Parallelism) and memoizes their results, so the figure functions that
 // follow assemble their tables from the cache. Experiments share many
 // configurations; Warm with the union of jobs parallelizes a whole
 // evaluation.
 //
-// On failure Warm returns the first error. The failed job leaves no memo
-// entry behind (the single-flight layer removes entries on error), so
-// completed results stay usable and a retried job re-executes. A
-// panicking job is recovered into an error by the memo layer, so it
-// cannot kill a worker goroutine or the process.
+// On failure Warm returns the error of the lowest-index failed job. The
+// failed job leaves no memo entry behind (the single-flight layer
+// removes entries on error), so completed results stay usable and a
+// retried job re-executes. A panicking job is recovered into an error by
+// the memo layer, so it cannot kill a worker goroutine or the process.
 //
-// Under KeepGoing failed jobs are recorded (Failures) and the remaining
-// jobs still run; Warm then returns nil and the failed cells surface as
-// NA when the figures render.
+// Under KeepGoing failed jobs are recorded (Failures) in job order and
+// the remaining jobs still run; Warm then returns nil and the failed
+// cells surface as NA when the figures render.
 func (r *Runner) Warm(jobs []runJob) error {
-	do := func(j runJob) error {
+	return r.fanOut(len(jobs), func(i int) (string, string, error) {
+		j := jobs[i]
 		_, err := r.run(j.Alias, j.Policy, j.UpperBound)
-		if err != nil && r.KeepGoing {
-			r.recordFailure(j.Alias, j.Policy.Name, err)
-			return nil
-		}
-		return err
-	}
-	workers := r.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if err := do(j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
-	work := make(chan runJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range work {
-				if err := do(j); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	// The producer must never block on a send with no live receivers: a
-	// worker exiting on error signals stop, which aborts the feed.
-feed:
-	for _, j := range jobs {
-		select {
-		case work <- j:
-		case <-stop:
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	return firstErr
+		return j.Alias, j.Policy.Name, err
+	})
 }
 
 // WarmAll pre-runs every simulation the paper's figures need — the
@@ -654,35 +671,24 @@ func (r *Runner) violin(id, title, metric string, f func(*RunResult) []float64) 
 	if err != nil {
 		return nil, err
 	}
-	for _, alias := range r.Opt.aliases() {
-		for _, pol := range []core.Policy{core.Baseline(), cg} {
-			name := pol.Name
-			if name == "baseline" {
-				name = "FG-xshift2"
-			}
-			res, err := r.run(alias, pol, false)
-			if err != nil {
-				if !r.KeepGoing {
-					return nil, err
-				}
-				// A failed violin renders as an all-NA summary row.
-				r.recordFailure(alias, name, err)
-				nan := math.NaN()
-				t.Rows = append(t.Rows, ViolinRow{
-					Bench:  alias,
-					Config: name,
-					Summary: stats.Summary{
-						Min: nan, Q1: nan, Median: nan, Mean: nan, Q3: nan, Max: nan,
-					},
-				})
-				continue
-			}
-			t.Rows = append(t.Rows, ViolinRow{
-				Bench:   alias,
-				Config:  name,
-				Summary: stats.Summarize(f(res)),
-			})
+	aliases := r.Opt.aliases()
+	pols := []core.Policy{core.Baseline(), cg}
+	names := []string{"FG-xshift2", cg.Name}
+	t.Rows = make([]ViolinRow, len(aliases)*len(pols))
+	err = r.fanOut(len(t.Rows), func(i int) (string, string, error) {
+		alias, name := aliases[i/len(pols)], names[i%len(pols)]
+		// A failed violin renders as an all-NA summary row.
+		nan := math.NaN()
+		sum := stats.Summary{Min: nan, Q1: nan, Median: nan, Mean: nan, Q3: nan, Max: nan}
+		res, err := r.run(alias, pols[i%len(pols)], false)
+		if err == nil {
+			sum = stats.Summarize(f(res))
 		}
+		t.Rows[i] = ViolinRow{Bench: alias, Config: name, Summary: sum}
+		return alias, name, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

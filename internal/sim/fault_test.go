@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -145,34 +146,58 @@ func TestKeepGoingRendersNA(t *testing.T) {
 // TestCellTimeoutKeepGoingRendersNA: the dtexlbench -cell-timeout
 // -keep-going combination — a per-cell deadline with keep-going — must
 // render hung cells NA and finish the experiment instead of aborting.
+// Every cell fails, so the row fan-out must also record the failures,
+// and without keep-going return the error, exactly as a serial run does.
 func TestCellTimeoutKeepGoingRendersNA(t *testing.T) {
-	r := NewRunner(faultOptions())
-	r.KeepGoing = true
-	r.RunTimeout = time.Nanosecond // every cell "hangs" past its budget
-	tab, err := r.Fig11()
-	if err != nil {
-		t.Fatalf("keep-going Fig11 aborted on cell timeouts: %v", err)
-	}
-	for _, row := range tab.Rows {
-		for i, v := range row.Values {
-			if !math.IsNaN(v) {
-				t.Errorf("row %s col %d = %v, want NaN (all cells timed out)", row.Name, i, v)
+	var failSeqs, strictErrs []string
+	for _, par := range []int{1, 4} {
+		r := NewRunner(faultOptions())
+		r.Parallelism = par
+		r.KeepGoing = true
+		r.RunTimeout = time.Nanosecond // every cell "hangs" past its budget
+		tab, err := r.Fig11()
+		if err != nil {
+			t.Fatalf("Parallelism %d: keep-going Fig11 aborted on cell timeouts: %v", par, err)
+		}
+		for _, row := range tab.Rows {
+			for i, v := range row.Values {
+				if !math.IsNaN(v) {
+					t.Errorf("Parallelism %d: row %s col %d = %v, want NaN (all cells timed out)", par, row.Name, i, v)
+				}
 			}
 		}
-	}
-	fails := r.Failures()
-	if len(fails) == 0 {
-		t.Fatal("timed-out run recorded no failures")
-	}
-	for _, f := range fails {
-		if !errors.Is(f.Err, context.DeadlineExceeded) {
-			t.Errorf("%s/%s failure = %v, want context.DeadlineExceeded", f.Bench, f.Series, f.Err)
+		fails := r.Failures()
+		if len(fails) == 0 {
+			t.Fatalf("Parallelism %d: timed-out run recorded no failures", par)
+		}
+		var seq strings.Builder
+		for _, f := range fails {
+			if !errors.Is(f.Err, context.DeadlineExceeded) {
+				t.Errorf("Parallelism %d: %s/%s failure = %v, want context.DeadlineExceeded", par, f.Bench, f.Series, f.Err)
+			}
+			fmt.Fprintf(&seq, "%s/%s: %v\n", f.Bench, f.Series, f.Err)
+		}
+		failSeqs = append(failSeqs, seq.String())
+		var text bytes.Buffer
+		tab.Render(&text)
+		if !strings.Contains(text.String(), "NA") {
+			t.Errorf("Parallelism %d: text rendering of a timed-out table has no NA cells", par)
+		}
+
+		strict := NewRunner(faultOptions())
+		strict.Parallelism = par
+		strict.RunTimeout = time.Nanosecond
+		if _, err := strict.Fig11(); err == nil {
+			t.Fatalf("Parallelism %d: Fig11 without keep-going returned no error", par)
+		} else {
+			strictErrs = append(strictErrs, err.Error())
 		}
 	}
-	var text bytes.Buffer
-	tab.Render(&text)
-	if !strings.Contains(text.String(), "NA") {
-		t.Error("text rendering of a timed-out table has no NA cells")
+	if failSeqs[0] != failSeqs[1] {
+		t.Errorf("Failures() at Parallelism 4:\n%s\nwant the serial sequence:\n%s", failSeqs[1], failSeqs[0])
+	}
+	if strictErrs[0] != strictErrs[1] {
+		t.Errorf("error at Parallelism 4 = %q, want the serial %q", strictErrs[1], strictErrs[0])
 	}
 }
 

@@ -53,7 +53,7 @@ func isCtxErr(err error) bool {
 // do returns the memoized value for key, computing it with fn on first
 // use. A panicking fn is recovered into an error: the computing caller
 // and every waiter receive it, and the panic never escapes to kill a
-// Warm worker goroutine. Waiting on another caller's in-flight
+// pool worker goroutine. Waiting on another caller's in-flight
 // computation respects ctx; fn itself is responsible for observing ctx
 // (the Runner threads it into the executors).
 func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (val V, err error) {
@@ -193,7 +193,7 @@ func (s *prepStore) do(ctx context.Context, key prepKey, fn func() (*pipeline.Pr
 		completed := false
 		defer func() {
 			if !completed {
-				// Recover the panic so it cannot kill a Warm worker; waiters
+				// Recover the panic so it cannot kill a pool worker; waiters
 				// and the computing caller all see the error.
 				e.err = fmt.Errorf("sim: frame preparation panicked: %v\n%s", recover(), debug.Stack())
 				prep, err = nil, e.err

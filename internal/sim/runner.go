@@ -4,12 +4,14 @@
 // (see experiments.go and DESIGN.md's experiment index).
 //
 // Runs are memoized at three layers (scene store, preparation store,
-// simulation memo), each single-flighted so concurrent Warm workers
-// never duplicate a computation, and each cancellation-safe: a waiter
-// whose context ends detaches without poisoning the shared entry.
-// Runner.Parallelism runs whole simulations concurrently; each
-// simulation is itself serial and deterministic, so results do not
-// depend on the setting (DESIGN.md §11).
+// simulation memo), each single-flighted so concurrent workers never
+// duplicate a computation, and each cancellation-safe: a waiter whose
+// context ends detaches without poisoning the shared entry.
+// Runner.Parallelism bounds one worker pool that runs whole simulations
+// concurrently, both in Warm and across the benchmarks of each
+// experiment row; each simulation is itself serial and deterministic,
+// and values, failures and errors come back in benchmark order, so
+// output does not depend on the setting (DESIGN.md §11).
 package sim
 
 import (
@@ -303,7 +305,8 @@ func (r *Runner) scene(alias string) (*trace.Scene, error) {
 
 // Timing is the Runner's wall-clock split across the memoized phases,
 // plus the hit/miss counters of each memo layer. Durations are summed
-// over Warm's workers, so with parallelism they can exceed elapsed time.
+// over the pool's workers, so with parallelism they can exceed elapsed
+// time.
 type Timing struct {
 	// Generate is time spent generating (or waiting on) scenes.
 	Generate time.Duration
