@@ -121,13 +121,17 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Access looks up the line containing addr, allocating it on a miss
 // (allocate-on-miss, true LRU). It returns whether the access hit.
+func (c *Cache) Access(addr uint64) bool { return c.AccessLine(addr >> c.lineShift) }
+
+// AccessLine is Access for a line number (addr >> log2(LineBytes)): the
+// texture path keeps its footprints as line numbers and probes here
+// without re-deriving them from byte addresses.
 //
 // Invariant: within a set, valid ways form a prefix in recency order.
 // Fills insert at the front, so invalid ways can only sink toward the
 // tail and the LRU victim is always the last way.
-func (c *Cache) Access(addr uint64) bool {
+func (c *Cache) AccessLine(line uint64) bool {
 	c.stats.Accesses++
-	line := addr >> c.lineShift
 	base := int(line&c.setMask) * c.nways
 	set := c.ways[base : base+c.nways : base+c.nways]
 	want := line>>c.tagShift<<1 | 1
@@ -157,6 +161,19 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	set[0] = want
 	return false
+}
+
+// hitMRU counts a hit and returns true when line is its set's MRU way —
+// the common case under texture locality, checked inline by the texture
+// path (AccessLine itself is too large to inline) — and otherwise
+// leaves the cache untouched for AccessLine.
+func (c *Cache) hitMRU(line uint64) bool {
+	if c.ways[int(line&c.setMask)*c.nways] != line>>c.tagShift<<1|1 {
+		return false
+	}
+	c.stats.Accesses++
+	c.stats.Hits++
+	return true
 }
 
 // Contains reports whether the line holding addr is resident, without

@@ -6,6 +6,11 @@ import (
 	"dtexl/internal/dram"
 )
 
+// TextureLineBytes is the line size of the texture layout
+// (texture.LineBytes), whose line numbers TextureSample takes: the L1
+// texture caches and the L2 must use it.
+const TextureLineBytes = 64
+
 // HierarchyConfig mirrors the cache section of Table II.
 type HierarchyConfig struct {
 	NumSC  int    // number of shader cores == number of L1 texture caches
@@ -60,6 +65,10 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.NumSC <= 0 {
 		panic(fmt.Sprintf("cache: invalid SC count %d", cfg.NumSC))
 	}
+	if cfg.L1Tex.LineBytes != TextureLineBytes || cfg.L2.LineBytes != TextureLineBytes {
+		panic(fmt.Sprintf("cache: texture path needs %d-byte L1 texture and L2 lines, got %d and %d",
+			TextureLineBytes, cfg.L1Tex.LineBytes, cfg.L2.LineBytes))
+	}
 	h := &Hierarchy{
 		cfg:    cfg,
 		L1Tex:  make([]*Cache, cfg.NumSC),
@@ -79,36 +88,55 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
-// TextureAccess performs a texture read from shader core sc for the line
-// containing addr and returns the total latency seen by the SC.
-func (h *Hierarchy) TextureAccess(sc int, addr uint64) int64 {
-	lat, _ := h.TextureAccessInfo(sc, addr)
-	return lat
+// TextureSample performs the texture reads of one sample issued by
+// shader core sc. lines are 64-byte line numbers (address >> 6, the
+// texture layout's line); lat[i] receives line i's latency as seen by the
+// SC, and bit i of the result is set when line i missed in the L1 level
+// (and therefore occupies an L1 fill port in the shader core's timing
+// model). The lines are probed in order, exactly as one access each
+// would be. Under NUCA each lookup goes to the line's home bank, with the
+// remote-hop latency added when that bank belongs to another SC; remote
+// hits are pipelined interconnect traffic, not fills. len(lat) must be
+// at least len(lines), and len(lines) at most 64.
+func (h *Hierarchy) TextureSample(sc int, lines []uint32, lat []int64) (missMask uint64) {
+	lat = lat[:len(lines)]
+	hit := h.cfg.L1Tex.HitLatency
+	if !h.cfg.NUCA {
+		l1 := h.L1Tex[sc]
+		for i, line := range lines {
+			if l1.hitMRU(uint64(line)) || l1.AccessLine(uint64(line)) {
+				lat[i] = hit
+				continue
+			}
+			missMask |= 1 << i
+			lat[i] = hit + h.textureFill(line)
+		}
+		return missMask
+	}
+	n := uint32(h.cfg.NumSC)
+	for i, line := range lines {
+		bank := int(line % n)
+		l := hit
+		if bank != sc {
+			l += h.cfg.NUCARemoteLatency
+		}
+		if b := h.L1Tex[bank]; b.hitMRU(uint64(line)) || b.AccessLine(uint64(line)) {
+			lat[i] = l
+			continue
+		}
+		missMask |= 1 << i
+		lat[i] = l + h.textureFill(line)
+	}
+	return missMask
 }
 
-// TextureAccessInfo performs a texture read and additionally reports
-// whether it missed in the L1 level (and therefore occupies an L1 fill
-// port in the shader core's timing model). Under NUCA the lookup goes to
-// the line's home bank, with the remote-hop latency added when that bank
-// belongs to another SC; remote hits are pipelined interconnect traffic,
-// not fills.
-func (h *Hierarchy) TextureAccessInfo(sc int, addr uint64) (lat int64, miss bool) {
-	bank := sc
-	lat = h.cfg.L1Tex.HitLatency
-	if h.cfg.NUCA {
-		bank = int((addr >> 6) % uint64(h.cfg.NumSC))
-		if bank != sc {
-			lat += h.cfg.NUCARemoteLatency
-		}
+// textureFill serves an L1 texture miss on line from the L2 and, on an
+// L2 miss, DRAM, returning the latency beyond the L1 lookup.
+func (h *Hierarchy) textureFill(line uint32) int64 {
+	if h.L2.AccessLine(uint64(line)) {
+		return h.cfg.L2.HitLatency
 	}
-	if h.L1Tex[bank].Access(addr) {
-		return lat, false
-	}
-	lat += h.cfg.L2.HitLatency
-	if h.L2.Access(addr) {
-		return lat, true
-	}
-	return lat + h.DRAM.Access(addr), true
+	return h.cfg.L2.HitLatency + h.DRAM.Access(uint64(line)*TextureLineBytes)
 }
 
 // VertexAccess performs a vertex fetch through the vertex cache.

@@ -81,8 +81,17 @@ func TestFailoverMidSweepByteIdentical(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(t.Context(), 3*time.Minute)
 	defer cancel()
-	go primary.Run(ctx)
-	go standby.Run(ctx)
+	// Both nodes write leases and snapshots into dir until Run returns:
+	// wait for them, after the deferred cancel, before TempDir removes it.
+	var nodes sync.WaitGroup
+	t.Cleanup(nodes.Wait)
+	for _, h := range []*HA{primary, standby} {
+		nodes.Add(1)
+		go func(h *HA) {
+			defer nodes.Done()
+			h.Run(ctx)
+		}(h)
+	}
 
 	workers := make([]*Worker, 3)
 	var wg sync.WaitGroup

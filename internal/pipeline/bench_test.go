@@ -9,9 +9,10 @@ import (
 )
 
 // The microbenchmarks cover the simulator's hot path layer by layer —
-// tile rasterization, the shader-core step loop, and a whole frame in
-// both barrier disciplines — on the same mid-size scene. CI compares
-// them against BENCH_baseline.txt (see .github/workflows/ci.yml).
+// tile rasterization, frame preparation, the shader-core step loop, and
+// a whole frame in both barrier disciplines — on the same mid-size
+// scene. CI compares them against BENCH_baseline.txt (see
+// .github/workflows/ci.yml).
 
 func benchScene(b *testing.B, alias string, cfg Config) *trace.Scene {
 	b.Helper()
@@ -43,6 +44,20 @@ func BenchmarkRasterizeTile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.rasterizeTile(tw, i%len(tiles), tiles[i%len(tiles)])
+	}
+}
+
+// BenchmarkPrepareFrame measures frame preparation — geometry, binning
+// and every tile's coverage with its texture line footprints — the
+// front half a cold cell pays once before its first raster.
+func BenchmarkPrepareFrame(b *testing.B) {
+	cfg := benchConfig()
+	scene := benchScene(b, "SWa", cfg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PrepareFrame(scene, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -181,6 +181,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: NumSC must be %d (or 1 for the upper bound), got %d", sched.NumSubtiles, c.NumSC)
 	case c.NumSC != c.Hierarchy.NumSC:
 		return fmt.Errorf("pipeline: NumSC (%d) != Hierarchy.NumSC (%d)", c.NumSC, c.Hierarchy.NumSC)
+	case c.Hierarchy.L1Tex.LineBytes != cache.TextureLineBytes || c.Hierarchy.L2.LineBytes != cache.TextureLineBytes:
+		return fmt.Errorf("pipeline: L1 texture and L2 lines must be %d bytes (the texture layout's), got %d and %d",
+			cache.TextureLineBytes, c.Hierarchy.L1Tex.LineBytes, c.Hierarchy.L2.LineBytes)
 	case c.WarpSlots <= 0:
 		return fmt.Errorf("pipeline: WarpSlots must be positive")
 	case c.RasterRate <= 0:

@@ -437,60 +437,80 @@ func (ex *executor) coupledTile(i int) error {
 	return nil
 }
 
-// drainAll advances SCs (always the one with the smallest clock, lowest
-// index on ties) until none has pending work. A blocked core or
-// watchdog-detected livelock returns a *StallError — formerly a
-// process-killing panic — and a canceled context returns its error.
-//
-// Instead of rescanning every SC per step, one scan finds the minimum
-// and runner-up (clock, index) pair, and the minimum SC is stepped
-// repeatedly while it still precedes the runner-up in that order —
-// during its steps no other SC's clock or pending state can change, so
-// the step sequence is exactly the rescan-per-step one.
+// drainAll advances SCs until none has pending work (see drainSCs). A
+// blocked core or watchdog-detected livelock returns a *StallError —
+// formerly a process-killing panic — and a canceled context returns its
+// error.
 func (ex *executor) drainAll() error {
 	for ex.wd.chaos {
 		if ex.wd.chaosTick() {
 			return ex.stallErr("coupled", "injected chaos stall")
 		}
 	}
-	scs := ex.scs
+	reason, err := drainSCs(&ex.wd, ex.es, ex.scs)
+	if err != nil {
+		return err
+	}
+	if reason != "" {
+		return ex.stallErr("coupled", reason)
+	}
+	return nil
+}
+
+// drainSCs steps SCs — always the one with the smallest clock, lowest
+// index on ties — until none has pending work, and returns the
+// watchdog's stall reason or error if it stops early. Only the stepped
+// SC's state can change between picks (no retire callback moves another
+// SC), so after one pick the SC steps repeatedly while it still precedes
+// the runner-up: the step sequence is exactly the rescan-per-step one.
+func drainSCs(wd *watchdog, es *engineState, scs []*scState) (reason string, err error) {
 	for {
-		var best *scState
-		bestIdx := -1
-		second := int64(math.MaxInt64)
-		secondIdx := len(scs)
-		for i, sc := range scs {
-			if !sc.pending() {
-				continue
-			}
-			if best == nil || sc.clock < best.clock {
-				if best != nil {
-					second, secondIdx = best.clock, bestIdx
-				}
-				best, bestIdx = sc, i
-			} else if sc.clock < second {
-				second, secondIdx = sc.clock, i
-			}
+		first, second := nextSC(scs)
+		if first == noSC {
+			return "", nil
 		}
-		if best == nil {
-			return nil
-		}
+		best := scs[first&scKeyMask]
 		for {
-			reason, err := ex.wd.step(ex.es, best)
-			if err != nil {
-				return err
+			if reason, err := wd.step(es, best); reason != "" || err != nil {
+				return reason, err
 			}
-			if reason != "" {
-				return ex.stallErr("coupled", reason)
-			}
-			if !best.pending() {
-				break
-			}
-			if best.clock > second || (best.clock == second && bestIdx > secondIdx) {
+			if !best.pending() || best.key() > second {
 				break
 			}
 		}
 	}
+}
+
+// scKeyBits is the index width of an SC's packed key: Validate allows
+// at most sched.NumSubtiles = 4 SCs.
+const (
+	scKeyBits = 2
+	scKeyMask = 1<<scKeyBits - 1
+)
+
+// noSC is the key of an SC without pending work, above every real key.
+const noSC = math.MaxInt64
+
+// key packs the SC's (clock, index) order into one integer,
+// clock<<scKeyBits | id, so comparing keys compares clocks and breaks
+// ties by the lower index.
+func (sc *scState) key() int64 { return sc.clock<<scKeyBits | int64(sc.id) }
+
+// nextSC returns the smallest key of a pending SC and the runner-up key,
+// each noSC when there is no such SC. The two smallest keys are folded
+// with min and max, so the scan has no data-dependent branch but the
+// pending test; the SC itself is scs[first&scKeyMask].
+func nextSC(scs []*scState) (first, second int64) {
+	first, second = noSC, noSC
+	for _, sc := range scs {
+		k := int64(noSC)
+		if sc.pending() {
+			k = sc.key()
+		}
+		second = min(second, max(first, k))
+		first = min(first, k)
+	}
+	return first, second
 }
 
 // stallErr assembles the diagnostic state dump for a stalled executor.
@@ -560,7 +580,6 @@ func (ex *executor) runDecoupled() error {
 	for {
 		// Feed drained SCs (index order — advances touch the hierarchy).
 		feedGen := ex.windowGen
-		anyPending := false
 		for _, sc := range scs {
 			if !sc.pending() && ex.dFail[sc.id] != ex.windowGen {
 				if ex.decAdvance(sc) {
@@ -569,11 +588,9 @@ func (ex *executor) runDecoupled() error {
 					ex.dFail[sc.id] = ex.windowGen
 				}
 			}
-			if sc.pending() {
-				anyPending = true
-			}
 		}
-		if !anyPending {
+		first, second := nextSC(scs)
+		if first == noSC {
 			if ex.lo >= n && ex.hi >= n {
 				break
 			}
@@ -592,32 +609,15 @@ func (ex *executor) runDecoupled() error {
 			}
 			continue
 		}
-		// One scan finds the minimum and runner-up (clock, index); the
-		// minimum SC then steps repeatedly while it still precedes the
-		// runner-up in that order. The batch stops as soon as the window
-		// moved — a retire may have unparked another SC, which must be
-		// fed (and may preempt) before the next step, exactly as the
-		// feed-before-every-step loop did. A feed pass that itself moved
-		// the window limits the batch to a single step for the same
-		// reason.
+		// One pick finds the minimum and runner-up keys; the minimum SC
+		// then steps repeatedly while it still precedes the runner-up.
+		// The batch stops as soon as the window moved — a retire may have
+		// unparked another SC, which must be fed (and may preempt) before
+		// the next step, exactly as the feed-before-every-step loop did.
+		// A feed pass that itself moved the window limits the batch to a
+		// single step for the same reason.
 		feedMoved := ex.windowGen != feedGen
-		var best *scState
-		bestIdx := -1
-		second := int64(math.MaxInt64)
-		secondIdx := nsc
-		for i, sc := range scs {
-			if !sc.pending() {
-				continue
-			}
-			if best == nil || sc.clock < best.clock {
-				if best != nil {
-					second, secondIdx = best.clock, bestIdx
-				}
-				best, bestIdx = sc, i
-			} else if sc.clock < second {
-				second, secondIdx = sc.clock, i
-			}
-		}
+		best := scs[first&scKeyMask]
 		for {
 			gen := ex.windowGen
 			reason, err := ex.wd.step(ex.es, best)
@@ -627,10 +627,7 @@ func (ex *executor) runDecoupled() error {
 			if reason != "" {
 				return ex.stallErr("decoupled", reason)
 			}
-			if feedMoved || ex.windowGen != gen || !best.pending() {
-				break
-			}
-			if best.clock > second || (best.clock == second && bestIdx > secondIdx) {
+			if feedMoved || ex.windowGen != gen || !best.pending() || best.key() > second {
 				break
 			}
 		}

@@ -3,10 +3,8 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"dtexl/internal/cache"
-	"dtexl/internal/texture"
 	"dtexl/internal/trace"
 )
 
@@ -118,8 +116,6 @@ type imrExecutor struct {
 
 	wd     watchdog
 	curSeq int // in-flight primitive batch, for stall dumps
-
-	samplers [3]texture.Sampler
 }
 
 // stallErr assembles the IMR stall diagnostic (no tiles or window; the
@@ -139,10 +135,6 @@ func (im *imrExecutor) stallErr(reason string) *StallError {
 // feeds the shader cores without any barrier: IMR has no tiles to wait
 // on. Batches exist only to bound simulator memory.
 func (im *imrExecutor) run(prims []Primitive) error {
-	im.samplers[texture.Bilinear] = texture.Sampler{Filter: texture.Bilinear}
-	im.samplers[texture.Trilinear] = texture.Sampler{Filter: texture.Trilinear}
-	im.samplers[texture.Aniso2x] = texture.Sampler{Filter: texture.Aniso2x}
-
 	var rasterDone int64
 	seq := 0
 	// One work unit, reused: each batch fully drains before the next.
@@ -170,45 +162,14 @@ func (im *imrExecutor) run(prims []Primitive) error {
 				return im.stallErr("injected chaos stall")
 			}
 		}
-		// Same min/runner-up tracker as the TBR drainAll: IMR has no
-		// retire callback, so only the stepped SC's state can change
-		// between rescans.
-		for {
-			var best *scState
-			bestIdx := -1
-			second := int64(math.MaxInt64)
-			secondIdx := len(im.scs)
-			for i, sc := range im.scs {
-				if !sc.pending() {
-					continue
-				}
-				if best == nil || sc.clock < best.clock {
-					if best != nil {
-						second, secondIdx = best.clock, bestIdx
-					}
-					best, bestIdx = sc, i
-				} else if sc.clock < second {
-					second, secondIdx = sc.clock, i
-				}
-			}
-			if best == nil {
-				break
-			}
-			for {
-				reason, err := im.wd.step(im.es, best)
-				if err != nil {
-					return err
-				}
-				if reason != "" {
-					return im.stallErr(reason)
-				}
-				if !best.pending() {
-					break
-				}
-				if best.clock > second || (best.clock == second && bestIdx > secondIdx) {
-					break
-				}
-			}
+		// No retire callback: only the stepped SC's state can change
+		// between picks, as in the TBR coupled drain.
+		reason, err := drainSCs(&im.wd, im.es, im.scs)
+		if err != nil {
+			return err
+		}
+		if reason != "" {
+			return im.stallErr(reason)
 		}
 	}
 	for _, sc := range im.scs {
@@ -246,7 +207,6 @@ func (im *imrExecutor) rasterizeBatch(tw *tileWork, seq int, prims []Primitive) 
 	quadsTested := 0
 	for pi := range prims {
 		p := &prims[pi]
-		sampler := &im.samplers[p.Filter]
 		opaque := p.Alpha >= 1
 		minX, minY, maxX, maxY := clampBoundsToScreen(p, cfg.Width, cfg.Height)
 		if minX > maxX || minY > maxY {
@@ -349,32 +309,13 @@ func (im *imrExecutor) rasterizeBatch(tw *tileWork, seq int, prims []Primitive) 
 					cov.fragments += uint64(popcount4(passMask))
 				}
 
-				// Texture footprint, identical to the TBR path.
-				cxf := float64(px) + 1.0
-				cyf := float64(py) + 1.0
-				uv := p.Setup.UVAt(cxf, cyf)
-				jx, jy := quadJitter(px, py, p.ID)
-				uv.X += jx * p.UVJitter / float64(p.Tex.Width)
-				uv.Y += jy * p.UVJitter / float64(p.Tex.Height)
-				firstSpan := int32(len(cov.spans))
-				for s := 0; s < p.Shader.Samples; s++ {
-					du := float64(s*sampleUVStride) / float64(p.Tex.Width)
-					lines := sampler.Footprint(p.Tex, uv.X+du, uv.Y, p.LOD)
-					off := int32(len(cov.lines))
-					cov.lines = append(cov.lines, lines...)
-					cov.spans = append(cov.spans, span{off: off, n: int32(len(lines))})
-				}
 				// Quads scatter across SCs by screen position with the
-				// fine-grained interleave (no tiles, no subtile notion).
+				// fine-grained interleave (no tiles, no subtile notion, so
+				// no tile quad coordinates); the texture footprint is the
+				// TBR path's.
 				sc := (qx + 2*qy) & 3 % cfg.NumSC
 				tw.perSC[sc] = append(tw.perSC[sc], int32(len(cov.quads)))
-				cq := coverQuad{
-					samples:   int8(p.Shader.Samples),
-					instr:     int16(p.Shader.Instructions),
-					firstSpan: firstSpan,
-				}
-				cq.setSegs()
-				cov.quads = append(cov.quads, cq)
+				cov.addQuad(p, 0, 0, px, py)
 			}
 		}
 	}

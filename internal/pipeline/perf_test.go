@@ -26,7 +26,7 @@ func TestTileSkeletonPolicyIndependent(t *testing.T) {
 	type skel struct {
 		quads  []coverQuad
 		spans  []span
-		lines  []uint64
+		lines  []uint32
 		cycles int64
 	}
 	var ref []skel
@@ -44,7 +44,7 @@ func TestTileSkeletonPolicyIndependent(t *testing.T) {
 				cur = append(cur, skel{
 					quads:  append([]coverQuad(nil), cov.quads...),
 					spans:  append([]span(nil), cov.spans...),
-					lines:  append([]uint64(nil), cov.lines...),
+					lines:  append([]uint32(nil), cov.lines...),
 					cycles: tw.rasterCycles,
 				})
 			}

@@ -13,7 +13,8 @@ import (
 // that sample nearby but distinct texture regions.
 const sampleUVStride = 8
 
-// span is the cache-line footprint of one texture sample.
+// span is the cache-line footprint of one texture sample: n line numbers
+// starting at off in its cover's lines.
 type span struct {
 	off int32
 	n   int32
@@ -94,13 +95,21 @@ func (q *coverQuad) setSegs() {
 type tileCover struct {
 	quads []coverQuad
 	spans []span
-	lines []uint64
+	// lines are texture line numbers (address >> 6), the unit the cache
+	// hierarchy's TextureSample probes.
+	lines []uint32
 	// culled counts quads fully rejected by Early-Z.
 	culled uint64
 	// fragments counts live SIMD lanes across all emitted quads.
 	fragments uint64
 	// quadsTested counts coverage/Early-Z tests (rasterizer throughput).
 	quadsTested int
+}
+
+// sample returns the line numbers of span i.
+func (c *tileCover) sample(i int32) []uint32 {
+	sp := c.spans[i]
+	return c.lines[sp.off : sp.off+sp.n]
 }
 
 // reset empties a cover for refilling, keeping the backing arrays.
@@ -114,31 +123,26 @@ func (c *tileCover) reset() {
 }
 
 // coverer computes tileCovers. It owns the Z-Buffer (tile-sized, reset
-// per tile) and the samplers, and never touches the memory hierarchy —
-// coverage is a pure function of (primitives, binning, tile, viewport
-// config), which is what makes it precomputable.
+// per tile) and never touches the memory hierarchy — coverage is a pure
+// function of (primitives, binning, tile, viewport config), which is
+// what makes it precomputable.
 type coverer struct {
-	cfg      Config
-	prims    []Primitive
-	binning  *Binning
-	zbuf     *ZBuffer
-	samplers [3]texture.Sampler
+	cfg     Config
+	prims   []Primitive
+	binning *Binning
+	zbuf    *ZBuffer
 	// pre, when non-nil, holds precomputed covers indexed ty*TilesX+tx
 	// (from a PreparedFrame); cover() then skips recomputation.
 	pre []*tileCover
 }
 
 func newCoverer(cfg Config, prims []Primitive, b *Binning) *coverer {
-	c := &coverer{
+	return &coverer{
 		cfg:     cfg,
 		prims:   prims,
 		binning: b,
 		zbuf:    NewZBuffer(cfg.TileSize),
 	}
-	c.samplers[texture.Bilinear] = texture.Sampler{Filter: texture.Bilinear}
-	c.samplers[texture.Trilinear] = texture.Sampler{Filter: texture.Trilinear}
-	c.samplers[texture.Aniso2x] = texture.Sampler{Filter: texture.Aniso2x}
-	return c
 }
 
 // cover returns the tileCover for tile (tx, ty), from the precomputed set
@@ -230,7 +234,6 @@ func (c *coverer) coverTile(tx, ty int, out *tileCover) *tileCover {
 		if qx0 > qx1 || qy0 > qy1 {
 			continue
 		}
-		sampler := &c.samplers[p.Filter]
 		opaque := p.Alpha >= 1
 		for qy := qy0; qy <= qy1; qy++ {
 			for qx := qx0; qx <= qx1; qx++ {
@@ -290,38 +293,40 @@ func (c *coverer) coverTile(tx, ty int, out *tileCover) *tileCover {
 				} else {
 					tw.fragments += uint64(popcount4(passMask))
 				}
-				// Shared texture state for the whole quad: sampled at the
-				// quad center; the texture unit coalesces the four
-				// fragments' accesses. Dependent-read jitter perturbs the
-				// sample position per quad; it depends only on screen
-				// position and primitive, never on scheduling.
-				cxf := float64(px) + 1.0
-				cyf := float64(py) + 1.0
-				uv := p.Setup.UVAt(cxf, cyf)
-				jx, jy := quadJitter(px, py, p.ID)
-				uv.X += jx * p.UVJitter / float64(p.Tex.Width)
-				uv.Y += jy * p.UVJitter / float64(p.Tex.Height)
-				firstSpan := int32(len(tw.spans))
-				for s := 0; s < p.Shader.Samples; s++ {
-					du := float64(s*sampleUVStride) / float64(p.Tex.Width)
-					lines := sampler.Footprint(p.Tex, uv.X+du, uv.Y, p.LOD)
-					off := int32(len(tw.lines))
-					tw.lines = append(tw.lines, lines...)
-					tw.spans = append(tw.spans, span{off: off, n: int32(len(lines))})
-				}
-				cq := coverQuad{
-					qx:        int16(qx),
-					qy:        int16(qy),
-					samples:   int8(p.Shader.Samples),
-					instr:     int16(p.Shader.Instructions),
-					firstSpan: firstSpan,
-				}
-				cq.setSegs()
-				tw.quads = append(tw.quads, cq)
+				tw.addQuad(p, qx, qy, px, py)
 			}
 		}
 	}
 	return tw
+}
+
+// addQuad appends a surviving quad of primitive p — tile quad (qx, qy)
+// at screen pixel (px, py) — with its shader workload and the line
+// footprints of its texture samples. The texture state is shared by the
+// whole quad: sampled at the quad center, the texture unit coalesces the
+// four fragments' accesses. Dependent-read jitter perturbs the sample
+// position per quad; it depends only on screen position and primitive,
+// never on scheduling.
+func (c *tileCover) addQuad(p *Primitive, qx, qy, px, py int) {
+	uv := p.Setup.UVAt(float64(px)+1.0, float64(py)+1.0)
+	jx, jy := quadJitter(px, py, p.ID)
+	uv.X += jx * p.UVJitter / float64(p.Tex.Width)
+	uv.Y += jy * p.UVJitter / float64(p.Tex.Height)
+	cq := coverQuad{
+		qx:        int16(qx),
+		qy:        int16(qy),
+		samples:   int8(p.Shader.Samples),
+		instr:     int16(p.Shader.Instructions),
+		firstSpan: int32(len(c.spans)),
+	}
+	for s := 0; s < p.Shader.Samples; s++ {
+		du := float64(s*sampleUVStride) / float64(p.Tex.Width)
+		off := int32(len(c.lines))
+		c.lines = p.Tex.AppendFootprint(c.lines, p.Filter, uv.X+du, uv.Y, p.LOD)
+		c.spans = append(c.spans, span{off: off, n: int32(len(c.lines)) - off})
+	}
+	cq.setSegs()
+	c.quads = append(c.quads, cq)
 }
 
 // resolveColor shades the depth-passing pixels of the quad at (px, py)

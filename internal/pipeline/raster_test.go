@@ -65,12 +65,12 @@ func TestJitterIndependentOfScheduling(t *testing.T) {
 	geo := RunGeometry(scene, hier, cfg)
 	b := BinPrimitives(geo.Primitives, hier, cfg)
 
-	collect := func(assign sched.Assignment, order tileorder.Kind) map[uint64]int {
+	collect := func(assign sched.Assignment, order tileorder.Kind) map[uint32]int {
 		c := cfg
 		c.Assignment = assign
 		c.TileOrder = order
 		r := newRasterizer(c, geo.Primitives, b, cache.NewHierarchy(c.Hierarchy))
-		lines := make(map[uint64]int)
+		lines := make(map[uint32]int)
 		tw := &tileWork{}
 		for i, pt := range tileorder.Sequence(order, c.TilesX(), c.TilesY()) {
 			r.rasterizeTile(tw, i, pt)
@@ -218,13 +218,11 @@ func TestEdgeTilesRespectScreenBounds(t *testing.T) {
 }
 
 func TestSamplerFilterSelection(t *testing.T) {
-	// The rasterizer keeps one sampler per filter; confirm footprints of
+	// The cover takes each primitive's filter; confirm footprints of
 	// different filters differ for the same primitive state.
 	tex := texture.New(0, 0, 256, 256)
-	bi := texture.Sampler{Filter: texture.Bilinear}
-	tri := texture.Sampler{Filter: texture.Trilinear}
-	nb := len(bi.Footprint(tex, 0.3, 0.3, 1.5))
-	nt := len(tri.Footprint(tex, 0.3, 0.3, 1.5))
+	nb := len(tex.AppendFootprint(nil, texture.Bilinear, 0.3, 0.3, 1.5))
+	nt := len(tex.AppendFootprint(nil, texture.Trilinear, 0.3, 0.3, 1.5))
 	if nb >= nt {
 		t.Errorf("bilinear lines %d >= trilinear %d", nb, nt)
 	}

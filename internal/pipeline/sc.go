@@ -1,7 +1,12 @@
 package pipeline
 
 import (
+	"math"
+	"math/bits"
+
 	"dtexl/internal/cache"
+	"dtexl/internal/texture"
+	"dtexl/internal/trace"
 )
 
 // warpState is one resident quad-warp in a shader core. A quad executes
@@ -24,7 +29,7 @@ type warpState struct {
 	// admission (decoupled prefetch); fills holds each sample's fill
 	// completion time.
 	prefetched bool
-	fills      [4]int64
+	fills      [trace.MaxShaderSamples]int64
 }
 
 // scState is an in-order, single-issue, fine-grained multithreaded shader
@@ -129,18 +134,21 @@ func (sc *scState) step(e *engineState) bool {
 	// Pick a resident warp to issue from, per the warp-scheduling policy.
 	// The policy only arbitrates among warps that are ready *now*; the
 	// earliest-ready warp always determines how far the clock may jump.
-	ready := sc.ready
-	best := -1
-	minReady := int64(1)<<62 - 1
-	for i, r := range ready {
-		if r < minReady {
-			minReady = r
-			best = i
-		}
+	// It is the minimum of the packed keys ready<<shift | index, so ties
+	// go to the lowest index without a branch per warp; shift is sized
+	// from WarpSlots, and the keys stay exact while ready times are below
+	// 2^(63-shift) cycles. The no-op &63 spares each shift Go's
+	// oversized-shift guard.
+	shift := uint(bits.Len(uint(e.cfg.WarpSlots-1))) & 63
+	minKey := int64(math.MaxInt64)
+	for i, r := range sc.ready {
+		minKey = min(minKey, r<<shift|int64(i))
 	}
+	resident := len(sc.ready) > 0
+	minReady := minKey >> shift
 
-	if best >= 0 && minReady <= sc.clock {
-		pick, rrNext := sc.schedule(e, best, minReady)
+	if resident && minReady <= sc.clock {
+		pick, rrNext := sc.schedule(e, int(minKey&(1<<shift-1)), minReady)
 		sc.rrNext = rrNext
 		sc.exec(e, pick)
 		if e.sampler != nil && sc.clock >= e.sampler.next[sc.id] {
@@ -152,7 +160,7 @@ func (sc *scState) step(e *engineState) bool {
 	// Nothing issuable now: advance the clock to the next event (warp
 	// ready or input gate opening onto a free slot).
 	next := int64(-1)
-	if best >= 0 {
+	if resident {
 		next = minReady
 	}
 	fromGate := false
@@ -246,9 +254,7 @@ func (sc *scState) exec(e *engineState, wi int) {
 				ready = f
 			}
 		} else {
-			cov := w.tile.cov
-			sp := cov.spans[w.firstSpan+int32(w.stage)]
-			ready = sc.accessSample(e, cov, sp)
+			ready = sc.accessSample(e, w.tile.cov.sample(w.firstSpan+int32(w.stage)))
 		}
 		w.stage++
 		sc.ready[wi] = ready
@@ -268,10 +274,11 @@ func (sc *scState) exec(e *engineState, wi int) {
 	sc.ready = sc.ready[:last]
 }
 
-// accessSample walks one sample's cache lines at the current clock and
-// returns when its data is complete: hits pipeline under the base
-// latency; misses queue on the SC's L1 fill ports.
-func (sc *scState) accessSample(e *engineState, cov *tileCover, sp span) int64 {
+// accessSample probes one sample's cache lines at the current clock in
+// one hierarchy call and returns when its data is complete: hits
+// pipeline under the base latency; misses queue on the SC's L1 fill
+// ports in line order.
+func (sc *scState) accessSample(e *engineState, lines []uint32) int64 {
 	if sc.fillFree == nil {
 		sc.fillFree = make([]int64, e.cfg.L1FillPorts)
 	}
@@ -279,17 +286,16 @@ func (sc *scState) accessSample(e *engineState, cov *tileCover, sp span) int64 {
 	if e.sampler != nil {
 		l2Before = e.hier.L2.Stats()
 	}
-	hitLat := e.cfg.Hierarchy.L1Tex.HitLatency
-	ready := sc.clock + e.cfg.SampleOverhead + hitLat
-	for _, line := range cov.lines[sp.off : sp.off+sp.n] {
-		lat, miss := e.hier.TextureAccessInfo(sc.id, line)
-		if !miss {
+	var lat [texture.MaxFootprintLines]int64
+	miss := e.hier.TextureSample(sc.id, lines, lat[:])
+	issue := sc.clock + e.cfg.SampleOverhead
+	ready := issue + e.cfg.Hierarchy.L1Tex.HitLatency
+	for i, l := range lat[:len(lines)] {
+		if miss>>i&1 == 0 {
 			// Pipelined hit: local hits are covered by the base latency;
 			// NUCA remote hits add interconnect latency without occupying
 			// a fill port.
-			if t := sc.clock + e.cfg.SampleOverhead + lat; t > ready {
-				ready = t
-			}
+			ready = max(ready, issue+l)
 			continue
 		}
 		// Miss: grab the earliest-free fill port.
@@ -299,19 +305,14 @@ func (sc *scState) accessSample(e *engineState, cov *tileCover, sp span) int64 {
 				port = p
 			}
 		}
-		start := sc.clock
-		if sc.fillFree[port] > start {
-			start = sc.fillFree[port]
-		}
-		sc.fillFree[port] = start + lat
-		if sc.fillFree[port] > ready {
-			ready = sc.fillFree[port]
-		}
+		done := max(sc.fillFree[port], sc.clock) + l
+		sc.fillFree[port] = done
+		ready = max(ready, done)
 	}
 	if e.sampler != nil {
 		e.sampler.bucketFill(sc.id, sc.clock, statsDelta(e.hier.L2.Stats(), l2Before))
 	}
-	e.events.L1TexAccesses += uint64(sp.n)
+	e.events.L1TexAccesses += uint64(len(lines))
 	e.events.TextureSamples++
 	return ready
 }
@@ -321,10 +322,8 @@ func (sc *scState) accessSample(e *engineState, cov *tileCover, sp span) int64 {
 // access/execute prefetching). Traffic and fill-port occupancy are
 // identical to demand fetching; only the start times move earlier.
 func (sc *scState) prefetch(e *engineState, w *warpState) {
-	cov := w.tile.cov
 	for s := int8(0); s < w.samples; s++ {
-		sp := cov.spans[w.firstSpan+int32(s)]
-		w.fills[s] = sc.accessSample(e, cov, sp)
+		w.fills[s] = sc.accessSample(e, w.tile.cov.sample(w.firstSpan+int32(s)))
 	}
 	w.prefetched = true
 }

@@ -8,15 +8,16 @@ import (
 
 // buildTileWork constructs a synthetic tile with n identical quads for
 // SC 0: `instr` ALU instructions, one sample touching one line each, all
-// lines distinct (pure miss stream) or all the same (hit stream).
+// lines distinct (pure miss stream, consecutive line numbers in
+// consecutive L1 sets) or all the same (hit stream).
 func buildTileWork(n int, instr int16, distinctLines bool) *tileWork {
 	tw := &tileWork{perSC: make([][]int32, 1)}
 	cov := &tw.ownCov
 	tw.cov = cov
 	for i := 0; i < n; i++ {
-		line := uint64(0x100000)
+		line := uint32(0x100000 / 64)
 		if distinctLines {
-			line += uint64(i) * 64
+			line += uint32(i)
 		}
 		off := int32(len(cov.lines))
 		cov.lines = append(cov.lines, line)

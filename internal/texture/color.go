@@ -15,7 +15,7 @@ import (
 // (coordinates wrap, the level clamps — same addressing as TexelAddr).
 func (t *Texture) TexelColor(l, x, y int) render.Color {
 	l = clampLevel(l, t.Levels)
-	w, h := t.mipW[l], t.mipH[l]
+	w, h := t.lv[l].w, t.lv[l].h
 	x = wrap(x, w)
 	y = wrap(y, h)
 	hsh := colorHash(uint64(t.ID)<<40 ^ uint64(l)<<32 ^ uint64(x)<<16 ^ uint64(y))
@@ -46,7 +46,7 @@ func max(a, b int) int {
 
 // SampleColor returns the filtered color at normalized (u, v) with the
 // given LOD under the given filter — the color twin of
-// Sampler.Footprint. It is a pure function, so the rendered image cannot
+// AppendFootprint. It is a pure function, so the rendered image cannot
 // depend on scheduling.
 func SampleColor(t *Texture, u, v, lod float64, f Filter) render.Color {
 	switch f {
@@ -77,7 +77,7 @@ func SampleColor(t *Texture, u, v, lod float64, f Filter) render.Color {
 // bilinearColor filters the 2x2 texel neighbourhood around (u, v).
 func bilinearColor(t *Texture, u, v float64, level int) render.Color {
 	level = clampLevel(level, t.Levels)
-	w, h := t.mipW[level], t.mipH[level]
+	w, h := t.lv[level].w, t.lv[level].h
 	tu := u*float64(w) - 0.5
 	tv := v*float64(h) - 0.5
 	x0 := int(math.Floor(tu))

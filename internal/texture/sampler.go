@@ -3,6 +3,8 @@ package texture
 import (
 	"fmt"
 	"math"
+
+	"dtexl/internal/tileorder"
 )
 
 // Filter selects the texture filtering mode. The paper notes (§II-B,
@@ -46,70 +48,81 @@ func LOD(dudx, dvdx, dudy, dvdy float64, texW, texH int) float64 {
 	return math.Log2(d)
 }
 
-// Sampler generates the set of cache lines a texture sample touches. It
-// reuses an internal buffer across calls; the returned slice is only
-// valid until the next call.
-type Sampler struct {
-	Filter Filter
-	lines  []uint64
-}
+// MaxFootprintLines bounds the lines one sample reads: two 2x2 probes
+// of at most four lines each (Trilinear, Aniso2x).
+const MaxFootprintLines = 8
 
-// Footprint appends to its internal buffer the distinct cache-line
-// addresses read when sampling tex at (u, v) (normalized coordinates)
-// with the given LOD, and returns them. The slice is reused by the next
-// call.
-func (s *Sampler) Footprint(tex *Texture, u, v, lod float64) []uint64 {
-	s.lines = s.lines[:0]
-	switch s.Filter {
+// AppendFootprint appends to dst the distinct line numbers (byte address
+// >> 6) read when sampling t at (u, v) (normalized coordinates) with the
+// given LOD under filter f, in probe order, and returns the extended
+// slice. Each probe reads its level's row of the level table once and
+// wraps x0/x0+1 and y0/y0+1 together, so a 2x2 probe yields 1, 2 or 4
+// lines by block equality without a search; only Aniso2x's second probe,
+// on the same level as its first, is checked for repeats. Trilinear's two
+// probes read distinct levels, whose lines are disjoint.
+func (t *Texture) AppendFootprint(dst []uint32, f Filter, u, v, lod float64) []uint32 {
+	switch f {
 	case Bilinear:
-		level := int(math.Round(lod))
-		s.bilinear(tex, u, v, level)
+		lines, n := t.lv[clampLevel(int(math.Round(lod)), t.Levels)].probe(u, v)
+		return append(dst, lines[:n]...)
 	case Trilinear:
-		base := int(math.Floor(lod))
-		s.bilinear(tex, u, v, base)
-		if frac := lod - math.Floor(lod); frac > 0 && base+1 < tex.Levels {
-			s.bilinear(tex, u, v, base+1)
+		fl := math.Floor(lod)
+		base := int(fl)
+		lines, n := t.lv[clampLevel(base, t.Levels)].probe(u, v)
+		dst = append(dst, lines[:n]...)
+		// A negative base clamps both probes to level 0: the second would
+		// only repeat the first.
+		if lod > fl && base >= 0 && base+1 < t.Levels {
+			lines, n = t.lv[base+1].probe(u, v)
+			dst = append(dst, lines[:n]...)
 		}
+		return dst
 	case Aniso2x:
-		base := int(math.Floor(lod)) - 1 // sharper level, more texels
-		if base < 0 {
-			base = 0
-		}
 		// Two probes offset along u (the synthetic scenes' dominant
-		// anisotropy axis).
-		w, _ := tex.LevelDims(base)
-		du := 1.0 / float64(w)
-		s.bilinear(tex, u-du, v, base)
-		s.bilinear(tex, u+du, v, base)
-	default:
-		panic(fmt.Sprintf("texture: unknown filter %d", int(s.Filter)))
+		// anisotropy axis), one level sharper than the LOD.
+		m := &t.lv[clampLevel(int(math.Floor(lod))-1, t.Levels)]
+		du := 1.0 / float64(m.w)
+		first, n0 := m.probe(u-du, v)
+		dst = append(dst, first[:n0]...)
+		lines, n := m.probe(u+du, v)
+	next:
+		for _, l := range lines[:n] {
+			for _, p := range first[:n0] {
+				if p == l {
+					continue next
+				}
+			}
+			dst = append(dst, l)
+		}
+		return dst
 	}
-	return s.lines
+	panic(fmt.Sprintf("texture: unknown filter %d", int(f)))
 }
 
-// bilinear adds the lines of the 2x2 texel neighbourhood around (u, v) at
-// the given level.
-func (s *Sampler) bilinear(tex *Texture, u, v float64, level int) {
-	w, h := tex.LevelDims(level)
+// probe returns the distinct lines of the 2x2 texel neighbourhood around
+// (u, v) at this level, in the order (x0,y0), (x0+1,y0), (x0,y0+1),
+// (x0+1,y0+1) with repeats dropped. Two wrapped neighbours share a line
+// exactly when they share a 4-texel block column (row), so the count
+// follows from two compares.
+func (m *mipLevel) probe(u, v float64) (lines [4]uint32, n int) {
 	// Texel-space position of the sample; -0.5 centers texels per GL.
-	tu := u*float64(w) - 0.5
-	tv := v*float64(h) - 0.5
-	x0 := int(math.Floor(tu))
-	y0 := int(math.Floor(tv))
-	for dy := 0; dy <= 1; dy++ {
-		for dx := 0; dx <= 1; dx++ {
-			s.addLine(tex.LineAddr(level, x0+dx, y0+dy))
+	x0 := int(math.Floor(u*float64(m.w) - 0.5))
+	y0 := int(math.Floor(v*float64(m.h) - 0.5))
+	bx0, bx1 := (x0&m.xMask)>>blockShift, ((x0+1)&m.xMask)>>blockShift
+	by0, by1 := (y0&m.yMask)>>blockShift, ((y0+1)&m.yMask)>>blockShift
+	lines[0] = m.line0 + uint32(tileorder.MortonEncode(bx0, by0))
+	n = 1
+	if bx1 != bx0 {
+		lines[n] = m.line0 + uint32(tileorder.MortonEncode(bx1, by0))
+		n++
+	}
+	if by1 != by0 {
+		lines[n] = m.line0 + uint32(tileorder.MortonEncode(bx0, by1))
+		n++
+		if bx1 != bx0 {
+			lines[n] = m.line0 + uint32(tileorder.MortonEncode(bx1, by1))
+			n++
 		}
 	}
-}
-
-// addLine appends addr if not already present (footprints are at most a
-// handful of lines, so linear dedup is the fast path).
-func (s *Sampler) addLine(addr uint64) {
-	for _, l := range s.lines {
-		if l == addr {
-			return
-		}
-	}
-	s.lines = append(s.lines, addr)
+	return lines, n
 }

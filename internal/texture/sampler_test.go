@@ -24,16 +24,20 @@ func TestLOD(t *testing.T) {
 	}
 }
 
+// fp returns a fresh footprint of one sample.
+func fp(tex *Texture, f Filter, u, v, lod float64) []uint32 {
+	return tex.AppendFootprint(nil, f, u, v, lod)
+}
+
 func TestBilinearFootprintSize(t *testing.T) {
 	tex := New(0, 0, 256, 256)
-	s := &Sampler{Filter: Bilinear}
 	// Sample in the middle of a block: all 4 texels share one line.
-	lines := s.Footprint(tex, (2.0+0.5)/256, (2.0+0.5)/256, 0)
+	lines := fp(tex, Bilinear, (2.0+0.5)/256, (2.0+0.5)/256, 0)
 	if len(lines) != 1 {
 		t.Errorf("block-interior bilinear footprint = %d lines, want 1", len(lines))
 	}
 	// Sample exactly on a block corner: touches 4 blocks.
-	lines = s.Footprint(tex, 4.0/256, 4.0/256, 0)
+	lines = fp(tex, Bilinear, 4.0/256, 4.0/256, 0)
 	if len(lines) != 4 {
 		t.Errorf("block-corner bilinear footprint = %d lines, want 4", len(lines))
 	}
@@ -41,17 +45,15 @@ func TestBilinearFootprintSize(t *testing.T) {
 
 func TestTrilinearTouchesTwoLevels(t *testing.T) {
 	tex := New(0, 0, 256, 256)
-	bi := &Sampler{Filter: Bilinear}
-	tri := &Sampler{Filter: Trilinear}
 	u, v := 0.3, 0.7
-	nBi := len(bi.Footprint(tex, u, v, 1.5))
-	nTri := len(tri.Footprint(tex, u, v, 1.5))
+	nBi := len(fp(tex, Bilinear, u, v, 1.5))
+	nTri := len(fp(tex, Trilinear, u, v, 1.5))
 	if nTri <= nBi {
 		t.Errorf("trilinear lines (%d) not more than bilinear (%d)", nTri, nBi)
 	}
 	// Integral LOD with zero fraction: trilinear reads one level only.
-	nTri0 := len(tri.Footprint(tex, u, v, 2.0))
-	nBi0 := len(bi.Footprint(tex, u, v, 2.0))
+	nTri0 := len(fp(tex, Trilinear, u, v, 2.0))
+	nBi0 := len(fp(tex, Bilinear, u, v, 2.0))
 	if nTri0 != nBi0 {
 		t.Errorf("integral-LOD trilinear = %d, bilinear = %d", nTri0, nBi0)
 	}
@@ -59,11 +61,9 @@ func TestTrilinearTouchesTwoLevels(t *testing.T) {
 
 func TestAnisoTouchesAtLeastTrilinear(t *testing.T) {
 	tex := New(0, 0, 256, 256)
-	tri := &Sampler{Filter: Trilinear}
-	an := &Sampler{Filter: Aniso2x}
 	u, v := 0.41, 0.13
-	nT := len(tri.Footprint(tex, u, v, 2.0))
-	nA := len(an.Footprint(tex, u, v, 2.0))
+	nT := len(fp(tex, Trilinear, u, v, 2.0))
+	nA := len(fp(tex, Aniso2x, u, v, 2.0))
 	if nA < nT {
 		t.Errorf("aniso lines (%d) fewer than trilinear (%d)", nA, nT)
 	}
@@ -71,14 +71,16 @@ func TestAnisoTouchesAtLeastTrilinear(t *testing.T) {
 
 func TestFootprintDedupes(t *testing.T) {
 	tex := New(0, 0, 64, 64)
-	s := &Sampler{Filter: Trilinear}
-	lines := s.Footprint(tex, 0.5, 0.5, 0.5)
-	seen := make(map[uint64]bool)
-	for _, l := range lines {
-		if seen[l] {
-			t.Fatalf("duplicate line %#x in footprint", l)
+	for _, f := range []Filter{Bilinear, Trilinear, Aniso2x} {
+		for _, lod := range []float64{-0.5, 0, 0.5, 2.5, 9} {
+			seen := make(map[uint32]bool)
+			for _, l := range fp(tex, f, 0.5, 0.5, lod) {
+				if seen[l] {
+					t.Fatalf("%v lod %v: duplicate line %#x in footprint", f, lod, l)
+				}
+				seen[l] = true
+			}
 		}
-		seen[l] = true
 	}
 }
 
@@ -86,25 +88,21 @@ func TestAdjacentPixelsShareLines(t *testing.T) {
 	// The core locality property: at ~1 texel/pixel, samples one pixel
 	// apart mostly fall in the same 4x4 block -> same line.
 	tex := New(0, 0, 256, 256)
-	s := &Sampler{Filter: Bilinear}
 	shared := 0
 	total := 0
 	for px := 0; px < 64; px++ {
 		u0 := (float64(px) + 0.5) / 256
 		u1 := (float64(px) + 1.5) / 256
-		a := append([]uint64(nil), s.Footprint(tex, u0, 0.5, 0)...)
-		b := s.Footprint(tex, u1, 0.5, 0)
+		a := fp(tex, Bilinear, u0, 0.5, 0)
+		b := fp(tex, Bilinear, u1, 0.5, 0)
 		total++
+	pair:
 		for _, la := range a {
 			for _, lb := range b {
 				if la == lb {
 					shared++
-					la = 0
-					break
+					break pair
 				}
-			}
-			if la == 0 {
-				break
 			}
 		}
 	}
@@ -115,9 +113,8 @@ func TestAdjacentPixelsShareLines(t *testing.T) {
 
 func TestDistantPixelsDoNotShareLines(t *testing.T) {
 	tex := New(0, 0, 256, 256)
-	s := &Sampler{Filter: Bilinear}
-	a := append([]uint64(nil), s.Footprint(tex, 0.1, 0.1, 0)...)
-	b := s.Footprint(tex, 0.9, 0.9, 0)
+	a := fp(tex, Bilinear, 0.1, 0.1, 0)
+	b := fp(tex, Bilinear, 0.9, 0.9, 0)
 	for _, la := range a {
 		for _, lb := range b {
 			if la == lb {
@@ -138,11 +135,10 @@ func TestFilterString(t *testing.T) {
 
 func TestFootprintPanicsOnUnknownFilter(t *testing.T) {
 	tex := New(0, 0, 16, 16)
-	s := &Sampler{Filter: Filter(42)}
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on unknown filter")
 		}
 	}()
-	s.Footprint(tex, 0.5, 0.5, 0)
+	fp(tex, Filter(42), 0.5, 0.5, 0)
 }

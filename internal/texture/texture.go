@@ -5,6 +5,13 @@
 // address space — and the substrate on which the paper's entire
 // texture-locality argument rests: screen-adjacent quads sample adjacent
 // texels, which share cache lines.
+//
+// The footprint path (AppendFootprint) works in line numbers — byte
+// address >> 6 — rather than byte addresses, so a texture's base must be
+// 64-byte aligned (every level then starts on a line boundary, and a
+// level's lines are its first line plus the Morton code of the block),
+// and base+SizeBytes must stay below 2^38 so that every line number fits
+// in a uint32. New panics otherwise.
 package texture
 
 import (
@@ -19,8 +26,15 @@ const (
 	// BlockDim is the side of the square texel block stored in one cache
 	// line: 4x4 texels * 4 B = 64 B.
 	BlockDim = 4
+	// blockShift is log2(BlockDim).
+	blockShift = 2
 	// LineBytes is the cache line size the layout targets.
 	LineBytes = BlockDim * BlockDim * BytesPerTexel
+	// lineShift is log2(LineBytes): a line number is address >> lineShift.
+	lineShift = 6
+	// MaxAddrBits bounds a texture's address range: Base+SizeBytes must
+	// stay below 1<<MaxAddrBits so that line numbers fit in a uint32.
+	MaxAddrBits = 32 + lineShift
 )
 
 // Texture is a mip-mapped 2D texture. Width and Height must be powers of
@@ -30,41 +44,69 @@ type Texture struct {
 	Base     uint64 // base address in the global GPU address space
 	Width    int    // mip 0 texels
 	Height   int
-	Levels   int      // number of mip levels
-	mipOff   []uint64 // byte offset of each level from Base
-	mipW     []int
-	mipH     []int
+	Levels   int // number of mip levels
+	lv       []mipLevel
 	sizeByte uint64
 }
 
-// New creates a texture with a full mip chain down to 1x1. It panics on
-// non-power-of-two dimensions (a configuration error in the synthetic
-// scenes).
-func New(id int, base uint64, width, height int) *Texture {
+// mipLevel is one level's addressing state, the per-texture table the
+// footprint path reads once per probe (in the manner of MAME's RDP
+// TexturePipe mask tables): sizes are powers of two, so wrapping is a
+// mask, and the level's lines are line0 plus a block's Morton code.
+type mipLevel struct {
+	w, h         int
+	xMask, yMask int    // w-1, h-1
+	off          uint64 // byte offset from Base
+	line0        uint32 // line number of the level's first block
+}
+
+// Validate reports why New would reject a texture: dimensions that are
+// not positive powers of two, a base that is not LineBytes-aligned, or an
+// address range [base, base+size) reaching 1<<MaxAddrBits.
+func Validate(base uint64, width, height int) error {
 	if width <= 0 || height <= 0 || width&(width-1) != 0 || height&(height-1) != 0 {
-		panic(fmt.Sprintf("texture: dimensions %dx%d must be positive powers of two", width, height))
+		return fmt.Errorf("texture: dimensions %dx%d must be positive powers of two", width, height)
 	}
-	t := &Texture{ID: id, Base: base, Width: width, Height: height}
-	w, h := width, height
-	off := uint64(0)
+	if base%LineBytes != 0 {
+		return fmt.Errorf("texture: base %#x is not %d-byte aligned", base, LineBytes)
+	}
+	// From 2^16 blocks a side, level 0 alone spans 2^38 bytes; checking
+	// the sides first keeps mipChain's arithmetic from overflowing.
+	if width >= BlockDim<<16 || height >= BlockDim<<16 {
+		return fmt.Errorf("texture: %dx%d spans 1<<%d bytes or more", width, height, MaxAddrBits)
+	}
+	if _, size := mipChain(base, width, height); base >= 1<<MaxAddrBits || size >= 1<<MaxAddrBits-base {
+		return fmt.Errorf("texture: range [%#x, %#x+%#x) reaches 1<<%d", base, base, size, MaxAddrBits)
+	}
+	return nil
+}
+
+// New creates a texture with a full mip chain down to 1x1. It panics
+// when Validate reports an error (a configuration error in the synthetic
+// scenes; trace.ReadScene rejects such textures in loaded ones).
+func New(id int, base uint64, width, height int) *Texture {
+	if err := Validate(base, width, height); err != nil {
+		panic(err)
+	}
+	lv, size := mipChain(base, width, height)
+	return &Texture{ID: id, Base: base, Width: width, Height: height, Levels: len(lv), lv: lv, sizeByte: size}
+}
+
+// mipChain lays out the full mip chain of a width x height texture at
+// base, level after level, and returns the levels and their total size.
+func mipChain(base uint64, w, h int) (lv []mipLevel, size uint64) {
 	for {
-		t.mipOff = append(t.mipOff, off)
-		t.mipW = append(t.mipW, w)
-		t.mipH = append(t.mipH, h)
-		off += uint64(levelBytes(w, h))
+		lv = append(lv, mipLevel{
+			w: w, h: h, xMask: w - 1, yMask: h - 1,
+			off:   size,
+			line0: uint32((base + size) >> lineShift),
+		})
+		size += uint64(levelBytes(w, h))
 		if w == 1 && h == 1 {
-			break
+			return lv, size
 		}
-		if w > 1 {
-			w >>= 1
-		}
-		if h > 1 {
-			h >>= 1
-		}
+		w, h = max(w>>1, 1), max(h>>1, 1)
 	}
-	t.Levels = len(t.mipOff)
-	t.sizeByte = off
-	return t
 }
 
 // levelBytes returns the storage for one mip level, rounded up to whole
@@ -86,27 +128,20 @@ func (t *Texture) SizeBytes() uint64 { return t.sizeByte }
 
 // LevelDims returns the texel dimensions of mip level l (clamped).
 func (t *Texture) LevelDims(l int) (w, h int) {
-	l = clampLevel(l, t.Levels)
-	return t.mipW[l], t.mipH[l]
+	m := &t.lv[clampLevel(l, t.Levels)]
+	return m.w, m.h
 }
 
 // TexelAddr returns the address of texel (x, y) at mip level l. Out-of-
 // range coordinates wrap (GL_REPEAT) and the level is clamped, matching
 // the sampler's addressing rules.
 func (t *Texture) TexelAddr(l, x, y int) uint64 {
-	l = clampLevel(l, t.Levels)
-	w, h := t.mipW[l], t.mipH[l]
-	x = wrap(x, w)
-	y = wrap(y, h)
+	m := &t.lv[clampLevel(l, t.Levels)]
+	x = wrap(x, m.w)
+	y = wrap(y, m.h)
 	block := tileorder.MortonEncode(x/BlockDim, y/BlockDim)
 	inBlock := uint64((y%BlockDim)*BlockDim + x%BlockDim)
-	return t.Base + t.mipOff[l] + block*LineBytes + inBlock*BytesPerTexel
-}
-
-// LineAddr returns the cache-line address (line-aligned) of texel (x, y)
-// at level l.
-func (t *Texture) LineAddr(l, x, y int) uint64 {
-	return t.TexelAddr(l, x, y) &^ uint64(LineBytes-1)
+	return t.Base + m.off + block*LineBytes + inBlock*BytesPerTexel
 }
 
 func clampLevel(l, levels int) int {

@@ -41,6 +41,11 @@ func TestNonSquareMipChain(t *testing.T) {
 	}
 }
 
+// lineAddr is the line-aligned address of texel (x, y) at level l.
+func lineAddr(tex *Texture, l, x, y int) uint64 {
+	return tex.TexelAddr(l, x, y) &^ (LineBytes - 1)
+}
+
 func TestNewPanicsOnNonPow2(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -48,6 +53,40 @@ func TestNewPanicsOnNonPow2(t *testing.T) {
 		}
 	}()
 	New(0, 0, 100, 100)
+}
+
+// TestValidateAddressRange pins the line path's addressing rules: New
+// panics on a misaligned base or a range reaching 2^38, Validate rejects
+// sides whose level 0 alone reaches it, and the top of the range works.
+func TestValidateAddressRange(t *testing.T) {
+	size := New(0, 0, 64, 64).SizeBytes()
+	for name, base := range map[string]uint64{
+		"unaligned":       0x1000_0020,
+		"range ends 2^38": 1<<MaxAddrBits - size,
+		"base past 2^38":  1 << MaxAddrBits,
+		"wraps uint64":    ^uint64(0) &^ (LineBytes - 1),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic for base %#x", name, base)
+				}
+			}()
+			New(0, base, 64, 64)
+		}()
+	}
+	for _, wh := range [][2]int{{1 << 18, 1}, {1, 1 << 18}, {1 << 40, 1 << 40}} {
+		if err := Validate(0, wh[0], wh[1]); err == nil {
+			t.Errorf("%dx%d texture accepted", wh[0], wh[1])
+		}
+	}
+	if err := Validate(0, 1<<17, 1<<17); err != nil {
+		t.Errorf("2^17 square rejected: %v", err)
+	}
+	// The last line-aligned base whose range ends below 2^38 is fine, and
+	// its top line numbers still fit a uint32.
+	tex := New(0, 1<<MaxAddrBits-size-LineBytes, 64, 64)
+	checkFootprint(t, tex, Trilinear, 0.999, 0.999, 0.5)
 }
 
 func TestSizeBytesCoversAllLevels(t *testing.T) {
@@ -73,16 +112,16 @@ func TestSizeBytesCoversAllLevels(t *testing.T) {
 func TestBlockLinearLayout(t *testing.T) {
 	tex := New(0, 0, 64, 64)
 	// All 16 texels of one 4x4 block share a cache line.
-	base := tex.LineAddr(0, 0, 0)
+	base := lineAddr(tex, 0, 0, 0)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
-			if tex.LineAddr(0, x, y) != base {
+			if lineAddr(tex, 0, x, y) != base {
 				t.Fatalf("texel (%d,%d) not in block line", x, y)
 			}
 		}
 	}
 	// The next block over is a different line.
-	if tex.LineAddr(0, 4, 0) == base {
+	if lineAddr(tex, 0, 4, 0) == base {
 		t.Error("adjacent block shares the line")
 	}
 	// Texels within a line are distinct addresses.
@@ -109,19 +148,19 @@ func TestMipLevelsDoNotOverlap(t *testing.T) {
 	tex := New(0, 0, 64, 64)
 	lv0 := tex.TexelAddr(0, 63, 63)
 	lv1 := tex.TexelAddr(1, 0, 0)
-	if lv1 <= lv0 && tex.LineAddr(1, 0, 0) == tex.LineAddr(0, 63, 63) {
+	if lv1 <= lv0 && lineAddr(tex, 1, 0, 0) == lineAddr(tex, 0, 63, 63) {
 		t.Error("mip levels share lines")
 	}
 	// Distinct levels must produce disjoint line sets.
 	lines0 := make(map[uint64]bool)
 	for y := 0; y < 64; y += 4 {
 		for x := 0; x < 64; x += 4 {
-			lines0[tex.LineAddr(0, x, y)] = true
+			lines0[lineAddr(tex, 0, x, y)] = true
 		}
 	}
 	for y := 0; y < 32; y += 4 {
 		for x := 0; x < 32; x += 4 {
-			if lines0[tex.LineAddr(1, x, y)] {
+			if lines0[lineAddr(tex, 1, x, y)] {
 				t.Fatal("level 1 line aliases a level 0 line")
 			}
 		}

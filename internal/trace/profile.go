@@ -80,7 +80,7 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("trace: MeanTriArea %v must be finite and >= 1", p.MeanTriArea)
 	case p.ShaderLen[0] <= 0 || p.ShaderLen[1] < p.ShaderLen[0] || p.ShaderLen[1] > 1024:
 		return fmt.Errorf("trace: ShaderLen %v must satisfy 0 < min <= max <= 1024", p.ShaderLen)
-	case p.SamplesPerQuad[0] < 1 || p.SamplesPerQuad[1] < p.SamplesPerQuad[0] || p.SamplesPerQuad[1] > 4:
+	case p.SamplesPerQuad[0] < 1 || p.SamplesPerQuad[1] < p.SamplesPerQuad[0] || p.SamplesPerQuad[1] > MaxShaderSamples:
 		return fmt.Errorf("trace: SamplesPerQuad %v must satisfy 1 <= min <= max <= 4", p.SamplesPerQuad)
 	case p.Filter != texture.Bilinear && p.Filter != texture.Trilinear && p.Filter != texture.Aniso2x:
 		return fmt.Errorf("trace: unknown texture filter %v", p.Filter)

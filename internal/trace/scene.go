@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math"
+
 	"dtexl/internal/geom"
 	"dtexl/internal/texture"
 )
@@ -15,6 +17,15 @@ type Vertex struct {
 	Pos geom.Vec3
 	UV  geom.Vec2
 }
+
+// The pipeline's bounds on a shader profile: a resident warp tracks at
+// most MaxShaderSamples sample fills, and a prepared quad stores its
+// instruction count in an int16. ReadScene rejects traces beyond them,
+// as Profile.Validate does for generated scenes.
+const (
+	MaxShaderSamples      = 4
+	MaxShaderInstructions = math.MaxInt16
+)
 
 // ShaderProfile describes the per-quad cost of a draw's fragment shader:
 // how many ALU instructions run between texture samples and how many

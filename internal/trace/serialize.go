@@ -128,8 +128,8 @@ func ReadScene(r io.Reader) (*Scene, error) {
 	}
 	s := &Scene{Width: in.Width, Height: in.Height}
 	for i, tj := range in.Textures {
-		if tj.Width <= 0 || tj.Height <= 0 || tj.Width&(tj.Width-1) != 0 || tj.Height&(tj.Height-1) != 0 {
-			return nil, fmt.Errorf("trace: texture %d has non-power-of-two dimensions %dx%d", i, tj.Width, tj.Height)
+		if err := texture.Validate(tj.Base, tj.Width, tj.Height); err != nil {
+			return nil, fmt.Errorf("trace: texture %d: %w", i, err)
 		}
 		s.Textures = append(s.Textures, texture.New(tj.ID, tj.Base, tj.Width, tj.Height))
 	}
@@ -151,6 +151,10 @@ func ReadScene(r io.Reader) (*Scene, error) {
 		}
 		if dj.Instr <= 0 || dj.Samples <= 0 {
 			return nil, fmt.Errorf("trace: draw %d has degenerate shader profile (%d instr, %d samples)", di, dj.Instr, dj.Samples)
+		}
+		if dj.Instr > MaxShaderInstructions || dj.Samples > MaxShaderSamples {
+			return nil, fmt.Errorf("trace: draw %d shader profile (%d instr, %d samples) exceeds the pipeline's %d instr, %d samples",
+				di, dj.Instr, dj.Samples, MaxShaderInstructions, MaxShaderSamples)
 		}
 		d := DrawCommand{
 			VertexBase:     dj.VertexBase,

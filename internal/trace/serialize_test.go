@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dtexl/internal/texture"
 )
 
 func TestSceneRoundTrip(t *testing.T) {
@@ -84,9 +87,35 @@ func TestReadSceneValidation(t *testing.T) {
 		"bad shader": `{"version":1,"width":64,"height":64,"textures":[{"id":0,"base":0,"width":64,"height":64}],
 			"draws":[{"transform":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"vertices":[{"pos":[0,0,0],"uv":[0,0]}],"indices":[0,0,0],"texture":0,"shaderInstructions":0,"shaderSamples":1,"filter":"bilinear","alpha":1}]}`,
 	}
+	// Bounds the pipeline cannot hold: a fifth sample overruns a warp's
+	// fill slots, 40000 instructions wrap a quad's int16, and line
+	// numbers need 64-byte aligned texture bases below 2^38.
+	draw := func(instr, samples int) string {
+		return fmt.Sprintf(`"draws":[{"transform":[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]],"vertices":[{"pos":[0,0,0],"uv":[0,0]}],"indices":[0,0,0],"texture":0,"shaderInstructions":%d,"shaderSamples":%d,"filter":"bilinear","alpha":1}]`, instr, samples)
+	}
+	scene := func(base uint64, instr, samples int) string {
+		return fmt.Sprintf(`{"version":1,"width":64,"height":64,"textures":[{"id":0,"base":%d,"width":64,"height":64}],%s}`, base, draw(instr, samples))
+	}
+	size := texture.New(0, 0, 64, 64).SizeBytes()
+	cases["five samples"] = scene(0, 10, 5)
+	cases["int16 instructions"] = scene(0, 40000, 1)
+	cases["unaligned base"] = scene(0x1000_0020, 10, 1)
+	cases["range reaches 2^38"] = scene(1<<texture.MaxAddrBits-size, 10, 1)
+	cases["base past 2^38"] = scene(1<<40, 10, 1)
 	for name, payload := range cases {
 		if _, err := ReadScene(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The bounds themselves are accepted.
+	for name, payload := range map[string]string{
+		"four samples":     scene(0, 10, 4),
+		"int16 max":        scene(0, 32767, 1),
+		"range below 2^38": scene(1<<texture.MaxAddrBits-size-64, 10, 1),
+		"64-byte base":     scene(0x1000_0040, 10, 1),
+	} {
+		if _, err := ReadScene(strings.NewReader(payload)); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
 		}
 	}
 }
