@@ -46,7 +46,7 @@ func findRow(t *sim.Table, name string) sim.TableRow {
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig1()
+		t, err := r.Table("fig1")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig2()
+		t, err := r.Table("fig2")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig11()
+		t, err := r.Table("fig11")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig12()
+		t, err := r.Table("fig12")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkFig12(b *testing.B) {
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig13()
+		t, err := r.Table("fig13")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func BenchmarkFig13(b *testing.B) {
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig14()
+		t, err := r.Violin("fig14")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkFig14(b *testing.B) {
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig15()
+		t, err := r.Violin("fig15")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func BenchmarkFig15(b *testing.B) {
 func BenchmarkFig16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig16()
+		t, err := r.Table("fig16")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkFig16(b *testing.B) {
 func BenchmarkFig17(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig17()
+		t, err := r.Table("fig17")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkFig17(b *testing.B) {
 func BenchmarkFig18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.Fig18()
+		t, err := r.Table("fig18")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func BenchmarkTab2(b *testing.B) {
 func BenchmarkAblTileOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblTileOrder()
+		t, err := r.Table("abl-tileorder")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func BenchmarkAblTileOrder(b *testing.B) {
 func BenchmarkAblWarpSlots(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblWarpSlots()
+		t, err := r.Table("abl-warps")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func BenchmarkAblWarpSlots(b *testing.B) {
 func BenchmarkAblL1Size(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblL1Size()
+		t, err := r.Table("abl-l1size")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func BenchmarkAblL1Size(b *testing.B) {
 func BenchmarkAblFIFODepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblFIFODepth()
+		t, err := r.Table("abl-fifo")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func BenchmarkAblFIFODepth(b *testing.B) {
 func BenchmarkAblTileSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblTileSize()
+		t, err := r.Table("abl-tilesize")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func BenchmarkAblTileSize(b *testing.B) {
 func BenchmarkAblLateZ(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblLateZ()
+		t, err := r.Table("abl-latez")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func BenchmarkAblLateZ(b *testing.B) {
 func BenchmarkAblPrefetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblPrefetch()
+		t, err := r.Table("abl-prefetch")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func BenchmarkSuiteSweep(b *testing.B) {
 func BenchmarkBgIMR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.BgIMR()
+		t, err := r.Table("bg-imr")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func BenchmarkBgIMR(b *testing.B) {
 func BenchmarkAblNUCA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblNUCA()
+		t, err := r.Table("abl-nuca")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func BenchmarkAblNUCA(b *testing.B) {
 func BenchmarkAblWarpSched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := sim.NewRunner(benchOptions(b))
-		t, err := r.AblWarpSched()
+		t, err := r.Table("abl-warpsched")
 		if err != nil {
 			b.Fatal(err)
 		}

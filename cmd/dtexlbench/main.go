@@ -63,7 +63,7 @@ func run() int {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		par      = flag.Int("par", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 		svgDir   = flag.String("svg", "", "also write each experiment as <dir>/<id>.svg")
-		timing   = flag.Bool("timing", false, "print phase wall time and memo hit counts to stderr on exit")
+		timing   = flag.Bool("timing", false, "print phase wall time, memo hit counts and the prepared-frame residency peak to stderr on exit")
 		keepGo   = flag.Bool("keep-going", false, "on a failed simulation, mark its cells NA and continue (exit 2 on partial results)")
 		timeout  = flag.Duration("timeout", 0, "whole-run wall-clock budget (0 = none); on expiry in-flight cells are cancelled, e.g. 30m")
 		cellTO   = flag.Duration("cell-timeout", 0, "per-simulation wall-clock budget (0 = none); with -keep-going a hung cell renders NA instead of aborting the run, e.g. 5m")

@@ -7,7 +7,10 @@
 // each cache's configuration and composed by Hierarchy.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -200,6 +203,12 @@ func (c *Cache) Clone() *Cache {
 	cp.ways = make([]way, len(c.ways))
 	copy(cp.ways, c.ways)
 	return &cp
+}
+
+// SizeBytes is the memory the cache retains: its struct and its way
+// array.
+func (c *Cache) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*c)) + int64(cap(c.ways))*int64(unsafe.Sizeof(way(0)))
 }
 
 // CopyFrom overwrites c's contents, LRU state and counters with src's

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dtexl/internal/dram"
 )
@@ -209,6 +210,12 @@ func (h *Hierarchy) SaveFront() *FrontState {
 		l2:     h.L2.Clone(),
 		dram:   h.DRAM.Clone(),
 	}
+}
+
+// SizeBytes is the memory the snapshot retains: its four levels' way
+// arrays and the DRAM open-row tables.
+func (s *FrontState) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + s.vertex.SizeBytes() + s.tile.SizeBytes() + s.l2.SizeBytes() + s.dram.SizeBytes()
 }
 
 // RestoreFront deep-copies s into h's vertex, tile, L2 and DRAM levels,

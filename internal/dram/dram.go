@@ -6,6 +6,8 @@
 // plausible latency distribution and access counting are required.
 package dram
 
+import "unsafe"
+
 // Config describes the DRAM model.
 type Config struct {
 	Banks      int   // number of banks (power of two)
@@ -85,6 +87,12 @@ func (m *Model) Clone() *Model {
 	c.openRow = append([]uint64(nil), m.openRow...)
 	c.rowValid = append([]bool(nil), m.rowValid...)
 	return &c
+}
+
+// SizeBytes is the memory the model retains: its struct and its
+// open-row tables.
+func (m *Model) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*m)) + int64(cap(m.openRow))*8 + int64(cap(m.rowValid))
 }
 
 // CopyFrom overwrites m's open-row state and counters with src's without

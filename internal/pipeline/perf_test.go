@@ -167,11 +167,31 @@ func TestCoupledSteadyStateZeroAlloc(t *testing.T) {
 
 // TestPreparedSizeBytesCoversRetainedSlices: PrepBudget's LRU evicts on
 // SizeBytes, so the estimate must never fall below the backing arrays a
-// prepared frame actually retains — the primitives, the bin lists and
-// every slice field of every tile cover, each at its capacity times its
-// element's real size.
+// prepared frame actually retains — the primitives, the bin lists,
+// every slice field of every tile cover and every array of the
+// hierarchy snapshot (cache ways, DRAM open rows), each at its capacity
+// times its element's real size.
 func TestPreparedSizeBytesCoversRetainedSlices(t *testing.T) {
 	backing := func(v reflect.Value) int64 { return int64(v.Cap()) * int64(v.Type().Elem().Size()) }
+	// under sums the arrays of every slice reachable from v through
+	// pointers and struct fields.
+	var under func(v reflect.Value) int64
+	under = func(v reflect.Value) int64 {
+		var n int64
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() {
+				n = under(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				n += under(v.Field(i))
+			}
+		case reflect.Slice:
+			n = backing(v)
+		}
+		return n
+	}
 	for _, alias := range []string{"SWa", "CCS", "TRu"} {
 		cfg := testConfig()
 		prep, err := PrepareFrame(testScene(t, alias, cfg), cfg)
@@ -190,6 +210,12 @@ func TestPreparedSizeBytesCoversRetainedSlices(t *testing.T) {
 				}
 			}
 		}
+		snapshot := under(reflect.ValueOf(prep.front))
+		h := cfg.Hierarchy
+		if ways := int64(h.Vertex.SizeBytes/h.Vertex.LineBytes+h.Tile.SizeBytes/h.Tile.LineBytes+h.L2.SizeBytes/h.L2.LineBytes) * 8; snapshot < ways {
+			t.Fatalf("%s: snapshot arrays %d bytes, below the %d bytes of its one-word ways", alias, snapshot, ways)
+		}
+		retained += snapshot
 		if est := prep.SizeBytes(); est < retained {
 			t.Errorf("%s: SizeBytes %d below the %d retained slice bytes", alias, est, retained)
 		}

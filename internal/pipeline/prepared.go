@@ -131,11 +131,11 @@ func exactCopy[T any](s []T) []T {
 }
 
 // SizeBytes estimates the retained memory of the prepared frame, for
-// cache budgeting. Every retained slice counts at its capacity times its
-// element's real size, so the estimate never falls below the slice
-// bytes actually held.
+// cache budgeting. Every retained slice — the hierarchy snapshot's
+// included — counts at its capacity times its element's real size, so
+// the estimate never falls below the slice bytes actually held.
 func (p *PreparedFrame) SizeBytes() int64 {
-	var n int64 = 1 << 12 // struct + snapshot overhead
+	n := int64(unsafe.Sizeof(*p)) + int64(unsafe.Sizeof(*p.Binning)) + p.front.SizeBytes()
 	n += sliceBytes(p.Geometry.Primitives)
 	n += sliceBytes(p.Binning.Lists)
 	for _, l := range p.Binning.Lists {

@@ -38,7 +38,7 @@ func TestRunOneWith(t *testing.T) {
 
 func TestAblTileOrder(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblTileOrder()
+	tbl, err := r.Table("abl-tileorder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAblTileOrder(t *testing.T) {
 
 func TestAblWarpSlotsMonotoneBenefit(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblWarpSlots()
+	tbl, err := r.Table("abl-warps")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAblWarpSlotsMonotoneBenefit(t *testing.T) {
 
 func TestAblL1SizeShrinksHeadroom(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblL1Size()
+	tbl, err := r.Table("abl-l1size")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 func TestAblFIFODepthSaturates(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblFIFODepth()
+	tbl, err := r.Table("abl-fifo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestCSVRendering(t *testing.T) {
 
 func TestAblTileSize(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblTileSize()
+	tbl, err := r.Table("abl-tilesize")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestAblTileSize(t *testing.T) {
 
 func TestAblLateZ(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblLateZ()
+	tbl, err := r.Table("abl-latez")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestAblLateZ(t *testing.T) {
 
 func TestAblPrefetch(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblPrefetch()
+	tbl, err := r.Table("abl-prefetch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAblPrefetch(t *testing.T) {
 
 func TestBgIMR(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.BgIMR()
+	tbl, err := r.Table("bg-imr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestWarmAllMatchesSerial(t *testing.T) {
 
 	serial := NewRunner(opt)
 	serial.Parallelism = 1
-	fSerial, err := serial.Fig17()
+	fSerial, err := serial.Table("fig17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestWarmAllMatchesSerial(t *testing.T) {
 	if err := parallel.WarmAll(); err != nil {
 		t.Fatal(err)
 	}
-	fPar, err := parallel.Fig17()
+	fPar, err := parallel.Table("fig17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +342,9 @@ func TestWarmErrorPropagates(t *testing.T) {
 	opt := ScaledOptions(8)
 	r := NewRunner(opt)
 	r.Parallelism = 2
-	err := r.Warm([]runJob{
-		{Alias: "SWa", Policy: core.Baseline()},
-		{Alias: "???", Policy: core.Baseline()},
+	err := r.Warm([]CellSpec{
+		{Bench: "SWa", Policy: "baseline"},
+		{Bench: "???", Policy: "baseline"},
 	})
 	if err == nil {
 		t.Error("bad job did not propagate an error")
@@ -353,7 +353,7 @@ func TestWarmErrorPropagates(t *testing.T) {
 
 func TestAblNUCA(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblNUCA()
+	tbl, err := r.Table("abl-nuca")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestAblNUCA(t *testing.T) {
 
 func TestAblWarpSchedInsensitive(t *testing.T) {
 	r := NewRunner(testOptions())
-	tbl, err := r.AblWarpSched()
+	tbl, err := r.Table("abl-warpsched")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dtexl/internal/core"
-	"dtexl/internal/pipeline"
 	"dtexl/internal/stats"
 	"dtexl/internal/trace"
 )
@@ -152,15 +150,15 @@ type Runner struct {
 	Progress func(string)
 	// CSV switches RunExperiment's output from aligned text to CSV.
 	CSV bool
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS, 1 =
-	// serial), both in Warm and across the benchmarks of each experiment
-	// row. Individual simulations are single-threaded and independent;
-	// results, failures and errors are deterministic regardless of
-	// completion order.
+	// Parallelism bounds concurrent simulations in Warm (0 = GOMAXPROCS,
+	// 1 = serial). Individual simulations are single-threaded and
+	// independent; results, failures and errors are deterministic
+	// regardless of completion order.
 	Parallelism int
 	// PrepBudget bounds the bytes retained by memoized frame
 	// preparations (0 = a 4 GiB default); least-recently-used
-	// preparations beyond it are dropped and recomputed on demand.
+	// preparations beyond it are dropped and recomputed on demand. A
+	// frame Warm prepares leaves earlier, once its cells have run.
 	PrepBudget int64
 
 	// Ctx, when non-nil, is the base context of every simulation:
@@ -268,102 +266,6 @@ func (r *Runner) baseCtx() context.Context {
 	return context.Background()
 }
 
-// fanOut calls do(i) for every i in [0, n) on at most Parallelism
-// goroutines (0 = GOMAXPROCS; 1 runs the calls inline), starting them in
-// index order; do names the cell it ran and returns its error. Under
-// KeepGoing every call runs and the failures are recorded in index
-// order. Otherwise no call starts after one fails, and fanOut returns
-// the lowest-index error: every call below a failing index has started
-// by then, so it is the error a serial loop would have stopped at.
-func (r *Runner) fanOut(n int, do func(i int) (alias, series string, err error)) error {
-	fails := make([]CellFailure, n)
-	var next atomic.Int64
-	var stop atomic.Bool
-	work := func() {
-		for !stop.Load() {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			f := &fails[i]
-			if f.Bench, f.Series, f.Err = do(i); f.Err != nil && !r.KeepGoing {
-				stop.Store(true)
-			}
-		}
-	}
-	workers := r.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers = min(workers, n); workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
-	for _, f := range fails {
-		if f.Err == nil {
-			continue
-		}
-		if !r.KeepGoing {
-			return f.Err
-		}
-		r.recordFailure(f.Bench, f.Series, f.Err)
-	}
-	return nil
-}
-
-// sharedRows assembles k table rows that share their simulations: get
-// runs (memoized) simulations for one benchmark and returns its k cell
-// values, one per row. The benchmarks run side by side on fanOut's pool
-// and each value lands in its benchmark's column, so the rows do not
-// depend on completion order. Under KeepGoing a failed benchmark's k
-// cells become NaN — rendered "NA" — with the failure recorded against
-// series; otherwise the first failing benchmark's error aborts the
-// experiment.
-func (r *Runner) sharedRows(series string, k int, get func(alias string) ([]float64, error)) ([][]float64, error) {
-	aliases := r.Opt.aliases()
-	rows := make([][]float64, k)
-	for j := range rows {
-		rows[j] = make([]float64, len(aliases))
-	}
-	err := r.fanOut(len(aliases), func(i int) (string, string, error) {
-		vals, err := get(aliases[i])
-		for j := range rows {
-			if err != nil {
-				rows[j][i] = math.NaN()
-			} else {
-				rows[j][i] = vals[j]
-			}
-		}
-		return aliases[i], series, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// rowCells assembles one table row: sharedRows with one value per
-// benchmark.
-func (r *Runner) rowCells(series string, get func(alias string) (float64, error)) ([]float64, error) {
-	rows, err := r.sharedRows(series, 1, func(alias string) ([]float64, error) {
-		v, err := get(alias)
-		return []float64{v}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
 // NewRunner returns a Runner over the given options.
 func NewRunner(opt Options) *Runner {
 	return &Runner{
@@ -380,66 +282,9 @@ func (r *Runner) prepStoreLazy() *prepStore {
 	return r.preps
 }
 
-func (r *Runner) run(alias string, pol core.Policy, ub bool) (*RunResult, error) {
-	var mutate func(*pipeline.Config)
-	if ub {
-		mutate = func(cfg *pipeline.Config) { core.ApplyUpperBound(cfg) }
-	}
-	return r.RunOneWith(alias, pol, mutate)
-}
-
-// runJob names one simulation for Warm.
-type runJob struct {
-	Alias      string
-	Policy     core.Policy
-	UpperBound bool
-}
-
-// Warm executes the given simulations on fanOut's pool (bounded by
-// Parallelism) and memoizes their results, so the figure functions that
-// follow assemble their tables from the cache. Experiments share many
-// configurations; Warm with the union of jobs parallelizes a whole
-// evaluation.
-//
-// On failure Warm returns the error of the lowest-index failed job. The
-// failed job leaves no memo entry behind (the single-flight layer
-// removes entries on error), so completed results stay usable and a
-// retried job re-executes. A panicking job is recovered into an error by
-// the memo layer, so it cannot kill a worker goroutine or the process.
-//
-// Under KeepGoing failed jobs are recorded (Failures) in job order and
-// the remaining jobs still run; Warm then returns nil and the failed
-// cells surface as NA when the figures render.
-func (r *Runner) Warm(jobs []runJob) error {
-	return r.fanOut(len(jobs), func(i int) (string, string, error) {
-		j := jobs[i]
-		_, err := r.run(j.Alias, j.Policy, j.UpperBound)
-		return j.Alias, j.Policy.Name, err
-	})
-}
-
-// WarmAll pre-runs every simulation the paper's figures need — the
-// suite cells the fleet shards (SuiteCells) — in parallel.
-// RunExperiment calls afterwards hit the cache.
-func (r *Runner) WarmAll() error {
-	var jobs []runJob
-	for _, c := range SuiteCells(r.Opt) {
-		pol, ub, err := c.ResolvePolicy()
-		if err != nil {
-			return err
-		}
-		jobs = append(jobs, runJob{c.Bench, pol, ub})
-	}
-	return r.Warm(jobs)
-}
-
-// withMean and withGeoMean append the aggregate column, skipping NA
-// cells (NaN) so one failed benchmark does not poison a row's average.
-// On clean rows they compute exactly what stats.Mean/GeoMean compute.
-func withMean(vals []float64) []float64 { return append(vals, naMean(vals)) }
-
-func withGeoMean(vals []float64) []float64 { return append(vals, naGeoMean(vals)) }
-
+// naMean and naGeoMean compute a row's aggregate column, skipping NA
+// cells (NaN) so one failed benchmark does not poison the average. On
+// clean rows they compute exactly what stats.Mean/GeoMean compute.
 func naMean(vals []float64) float64 {
 	s, n := 0.0, 0
 	for _, v := range vals {
@@ -474,187 +319,199 @@ func naGeoMean(vals []float64) float64 {
 
 func (r *Runner) cols() []string { return append(r.Opt.aliases(), "Avg") }
 
+// An experiment declares one table of the evaluation: the cells it
+// reads for every benchmark and how it renders them. A bar table has
+// rows, a violin table a violin metric, and the text tables (tab1,
+// tab2) only a text renderer, which reads no cells.
+type experiment struct {
+	id, title, metric string
+	rows              []series
+	violin            func(*RunResult) []float64
+	text              func(r *Runner, w io.Writer) error
+}
+
+// A series is one row of a bar table: the cells it reads for each
+// benchmark (Bench left empty) and the value it computes from their
+// results, in cell order. Speedup rows average geometrically, the rest
+// arithmetically.
+type series struct {
+	name  string
+	cells []CellSpec
+	value func(rs []*RunResult) float64
+	geo   bool
+}
+
+// violinCells are the two configurations every violin table compares.
+var violinCells = []struct {
+	name string
+	cell CellSpec
+}{{"FG-xshift2", baseline}, {"CG-square", cell("CG-square")}}
+
+// cells lists the cell templates the experiment reads per benchmark.
+func (e *experiment) cells() []CellSpec {
+	var cs []CellSpec
+	for _, s := range e.rows {
+		cs = append(cs, s.cells...)
+	}
+	if e.violin != nil {
+		for _, v := range violinCells {
+			cs = append(cs, v.cell)
+		}
+	}
+	return cs
+}
+
+// baseline is the reference cell most series compare against.
+var baseline = cell(core.Baseline().Name)
+
+// cell is a template of the named policy.
+func cell(policy string) CellSpec { return CellSpec{Policy: policy} }
+
+// with returns the template with an override; a zero one changes
+// nothing.
+func (c CellSpec) with(o Override) CellSpec {
+	if o != (Override{}) {
+		c.Override = &o
+	}
+	return c
+}
+
+// Series values: rs[0] is the reference cell's result, rs[1] the
+// compared one's.
+func speedup(rs []*RunResult) float64 {
+	return float64(rs[0].Metrics.Cycles) / float64(rs[1].Metrics.Cycles)
+}
+
+func l2Decrease(rs []*RunResult) float64 {
+	return pctDecrease(rs[0].Metrics.L2Accesses(), rs[1].Metrics.L2Accesses())
+}
+
+func l2Ratio(rs []*RunResult) float64 {
+	return float64(rs[1].Metrics.L2Accesses()) / float64(rs[0].Metrics.L2Accesses())
+}
+
+func quadDevRatio(rs []*RunResult) float64 {
+	return rs[1].Metrics.MeanTileQuadDeviation() / rs[0].Metrics.MeanTileQuadDeviation()
+}
+
+func pctDecrease(base, v uint64) float64 {
+	return 100 * (1 - float64(v)/float64(base))
+}
+
+// speedups declares one speedup row per override, each comparing
+// subject with the baseline, both under the override when both is set.
+func speedups(subject CellSpec, both bool, names []string, ovs []Override) []series {
+	rows := make([]series, len(ovs))
+	for i, o := range ovs {
+		ref := baseline
+		if both {
+			ref = ref.with(o)
+		}
+		rows[i] = series{names[i], []CellSpec{ref, subject.with(o)}, speedup, true}
+	}
+	return rows
+}
+
+// experiments declares every experiment in ExperimentIDs order: the
+// paper's figures and tables first, then the ablations beyond the
+// paper (ablations.go) and the stall breakdown (stalls.go).
+var experiments = []*experiment{
+	fig1(), fig2(), fig11(), fig12(), fig13(), fig14(), fig15(), fig16(), fig17(), fig18(),
+	{id: "tab1", text: (*Runner).Table1},
+	{id: "tab2", text: func(_ *Runner, w io.Writer) error { return Table2(w) }},
+	ablTileOrder(), ablWarpSlots(), ablL1Size(), ablFIFODepth(), ablTileSize(), ablLateZ(),
+	ablPrefetch(), ablNUCA(), ablWarpSched(), bgIMR(), stalls(),
+}
+
 // ---------------------------------------------------------------------
 // Motivation figures
 // ---------------------------------------------------------------------
 
-// Fig1 reproduces Figure 1: the normalized mean deviation of quads
+// fig1 reproduces Figure 1: the normalized mean deviation of quads
 // (threads) per SC for a load-balancing scheduler (FG-xshift2) versus a
 // texture-locality scheduler (CG-square), per benchmark. Values are
 // normalized to the load-balancing scheduler.
-func (r *Runner) Fig1() (*Table, error) {
-	lbPol := core.Baseline()
-	tlPol, err := core.PolicyByName("CG-square")
-	if err != nil {
-		return nil, err
-	}
-	lbRow, err := r.rowCells("LB (FG-xshift2)", func(alias string) (float64, error) {
-		if _, err := r.run(alias, lbPol, false); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tlRow, err := r.rowCells("TL (CG-square)", func(alias string) (float64, error) {
-		lb, err := r.run(alias, lbPol, false)
-		if err != nil {
-			return 0, err
-		}
-		tl, err := r.run(alias, tlPol, false)
-		if err != nil {
-			return 0, err
-		}
-		return tl.Metrics.MeanTileQuadDeviation() / lb.Metrics.MeanTileQuadDeviation(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID:     "fig1",
-		Title:  "Thread-per-SC imbalance: load balancing vs texture locality",
-		Metric: "mean deviation of quads per SC, normalized to the LB scheduler",
-		Cols:   r.cols(),
-		Rows: []TableRow{
-			{Name: "LB (FG-xshift2)", Values: withMean(lbRow)},
-			{Name: "TL (CG-square)", Values: withMean(tlRow)},
-		},
-	}, nil
+func fig1() *experiment {
+	return &experiment{id: "fig1",
+		title:  "Thread-per-SC imbalance: load balancing vs texture locality",
+		metric: "mean deviation of quads per SC, normalized to the LB scheduler",
+		rows: []series{
+			{"LB (FG-xshift2)", []CellSpec{baseline}, func([]*RunResult) float64 { return 1 }, false},
+			{"TL (CG-square)", []CellSpec{baseline, cell("CG-square")}, quadDevRatio, false},
+		}}
 }
 
-// Fig2 reproduces Figure 2: L2 accesses of the texture-locality scheduler
-// normalized to the load-balancing one.
-func (r *Runner) Fig2() (*Table, error) {
-	tlPol, err := core.PolicyByName("CG-square")
-	if err != nil {
-		return nil, err
-	}
-	row, err := r.rowCells("TL (CG-square)", func(alias string) (float64, error) {
-		lb, err := r.run(alias, core.Baseline(), false)
-		if err != nil {
-			return 0, err
-		}
-		tl, err := r.run(alias, tlPol, false)
-		if err != nil {
-			return 0, err
-		}
-		return float64(tl.Metrics.L2Accesses()) / float64(lb.Metrics.L2Accesses()), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		ID:     "fig2",
-		Title:  "L2 accesses: texture-locality scheduler vs load balancing",
-		Metric: "L2 accesses normalized to the LB scheduler",
-		Cols:   r.cols(),
-		Rows:   []TableRow{{Name: "TL (CG-square)", Values: withMean(row)}},
-	}, nil
+// fig2 reproduces Figure 2: L2 accesses of the texture-locality
+// scheduler normalized to the load-balancing one.
+func fig2() *experiment {
+	return &experiment{id: "fig2",
+		title:  "L2 accesses: texture-locality scheduler vs load balancing",
+		metric: "L2 accesses normalized to the LB scheduler",
+		rows:   []series{{"TL (CG-square)", []CellSpec{baseline, cell("CG-square")}, l2Ratio, false}}}
 }
 
 // ---------------------------------------------------------------------
 // Quad grouping exploration (Figs. 11 and 12)
 // ---------------------------------------------------------------------
 
-// Fig11 reproduces Figure 11: average L2 accesses of the Fig. 6 quad
+// fig11 reproduces Figure 11: average L2 accesses of the Fig. 6 quad
 // groupings, normalized to FG-xshift2 per benchmark.
-func (r *Runner) Fig11() (*Table, error) {
-	return r.groupingTable("fig11",
-		"L2 accesses per quad grouping (fine- and coarse-grained)",
-		"L2 accesses normalized to FG-xshift2",
-		func(res, base *RunResult) float64 {
-			return float64(res.Metrics.L2Accesses()) / float64(base.Metrics.L2Accesses())
-		})
+func fig11() *experiment {
+	return &experiment{id: "fig11",
+		title:  "L2 accesses per quad grouping (fine- and coarse-grained)",
+		metric: "L2 accesses normalized to FG-xshift2",
+		rows:   groupingRows(l2Ratio)}
 }
 
-// Fig12 reproduces Figure 12: per-tile quad-distribution imbalance of the
-// Fig. 6 groupings, normalized to FG-xshift2.
-func (r *Runner) Fig12() (*Table, error) {
-	return r.groupingTable("fig12",
-		"Quad distribution imbalance per quad grouping",
-		"mean deviation of quads per SC, normalized to FG-xshift2",
-		func(res, base *RunResult) float64 {
-			return res.Metrics.MeanTileQuadDeviation() / base.Metrics.MeanTileQuadDeviation()
-		})
+// fig12 reproduces Figure 12: per-tile quad-distribution imbalance of
+// the Fig. 6 groupings, normalized to FG-xshift2.
+func fig12() *experiment {
+	return &experiment{id: "fig12",
+		title:  "Quad distribution imbalance per quad grouping",
+		metric: "mean deviation of quads per SC, normalized to FG-xshift2",
+		rows:   groupingRows(quadDevRatio)}
 }
 
-func (r *Runner) groupingTable(id, title, metric string, f func(res, base *RunResult) float64) (*Table, error) {
-	t := &Table{ID: id, Title: title, Metric: metric, Cols: r.cols()}
+func groupingRows(value func([]*RunResult) float64) []series {
+	var rows []series
 	for _, pol := range core.GroupingPolicies() {
-		pol := pol
-		row, err := r.rowCells(pol.Name, func(alias string) (float64, error) {
-			base, err := r.run(alias, core.Baseline(), false)
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.run(alias, pol, false)
-			if err != nil {
-				return 0, err
-			}
-			return f(res, base), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, TableRow{Name: pol.Name, Values: withMean(row)})
+		rows = append(rows, series{pol.Name, []CellSpec{baseline, cell(pol.Name)}, value, false})
 	}
-	return t, nil
+	return rows
 }
 
 // ---------------------------------------------------------------------
 // Non-decoupled performance (Figs. 13, 14, 15)
 // ---------------------------------------------------------------------
 
-// Fig13 reproduces Figure 13: the speedup of the coarse-grained groupings
-// over FG-xshift2 in the NON-decoupled architecture — the null result
-// motivating the decoupled barriers.
-func (r *Runner) Fig13() (*Table, error) {
-	t := &Table{
-		ID:     "fig13",
-		Title:  "Speedup of CG groupings without decoupling",
-		Metric: "FPS speedup over FG-xshift2 (coupled)",
-		Cols:   r.cols(),
-	}
+// fig13 reproduces Figure 13: the speedup of the coarse-grained
+// groupings over FG-xshift2 in the NON-decoupled architecture — the null
+// result motivating the decoupled barriers.
+func fig13() *experiment {
+	e := &experiment{id: "fig13",
+		title:  "Speedup of CG groupings without decoupling",
+		metric: "FPS speedup over FG-xshift2 (coupled)"}
 	for _, name := range []string{"CG-square", "CG-yrect"} {
-		pol, err := core.PolicyByName(name)
-		if err != nil {
-			return nil, err
-		}
-		row, err := r.rowCells(name, func(alias string) (float64, error) {
-			base, err := r.run(alias, core.Baseline(), false)
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.run(alias, pol, false)
-			if err != nil {
-				return 0, err
-			}
-			return float64(base.Metrics.Cycles) / float64(res.Metrics.Cycles), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, TableRow{Name: name, Values: withGeoMean(row)})
+		e.rows = append(e.rows, series{name, []CellSpec{baseline, cell(name)}, speedup, true})
 	}
-	return t, nil
+	return e
 }
 
-// Fig14 reproduces Figure 14: violins of per-tile SC execution-time
+// fig14 reproduces Figure 14: violins of per-tile SC execution-time
 // imbalance under FG-xshift2 vs CG-square (coupled).
-func (r *Runner) Fig14() (*ViolinTable, error) {
-	return r.violin("fig14",
-		"SC execution time imbalance per tile",
-		"per-tile mean deviation of SC execution time, % of mean",
-		func(res *RunResult) []float64 { return scale100(res.Metrics.TileTimeDeviation) })
+func fig14() *experiment {
+	return &experiment{id: "fig14",
+		title:  "SC execution time imbalance per tile",
+		metric: "per-tile mean deviation of SC execution time, % of mean",
+		violin: func(res *RunResult) []float64 { return scale100(res.Metrics.TileTimeDeviation) }}
 }
 
-// Fig15 reproduces Figure 15: violins of per-tile quad-count imbalance.
-func (r *Runner) Fig15() (*ViolinTable, error) {
-	return r.violin("fig15",
-		"Quad distribution imbalance per tile",
-		"per-tile mean deviation of quads per SC, % of mean",
-		func(res *RunResult) []float64 { return scale100(res.Metrics.TileQuadDeviation) })
+// fig15 reproduces Figure 15: violins of per-tile quad-count imbalance.
+func fig15() *experiment {
+	return &experiment{id: "fig15",
+		title:  "Quad distribution imbalance per tile",
+		metric: "per-tile mean deviation of quads per SC, % of mean",
+		violin: func(res *RunResult) []float64 { return scale100(res.Metrics.TileQuadDeviation) }}
 }
 
 func scale100(xs []float64) []float64 {
@@ -665,149 +522,50 @@ func scale100(xs []float64) []float64 {
 	return out
 }
 
-func (r *Runner) violin(id, title, metric string, f func(*RunResult) []float64) (*ViolinTable, error) {
-	t := &ViolinTable{ID: id, Title: title, Metric: metric}
-	cg, err := core.PolicyByName("CG-square")
-	if err != nil {
-		return nil, err
-	}
-	aliases := r.Opt.aliases()
-	pols := []core.Policy{core.Baseline(), cg}
-	names := []string{"FG-xshift2", cg.Name}
-	t.Rows = make([]ViolinRow, len(aliases)*len(pols))
-	err = r.fanOut(len(t.Rows), func(i int) (string, string, error) {
-		alias, name := aliases[i/len(pols)], names[i%len(pols)]
-		// A failed violin renders as an all-NA summary row.
-		nan := math.NaN()
-		sum := stats.Summary{Min: nan, Q1: nan, Median: nan, Mean: nan, Q3: nan, Max: nan}
-		res, err := r.run(alias, pols[i%len(pols)], false)
-		if err == nil {
-			sum = stats.Summarize(f(res))
-		}
-		t.Rows[i] = ViolinRow{Bench: alias, Config: name, Summary: sum}
-		return alias, name, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // ---------------------------------------------------------------------
 // DTexL evaluation (Figs. 16, 17, 18)
 // ---------------------------------------------------------------------
 
-// Fig16 reproduces Figure 16: the percentage decrease in total L2
+// fig16 reproduces Figure 16: the percentage decrease in total L2
 // accesses for the eight Fig. 8 subtile mappings and the single-SC upper
-// bound, all relative to the non-decoupled FG-xshift2 baseline.
-func (r *Runner) Fig16() (*Table, error) {
-	t := &Table{
-		ID:     "fig16",
-		Title:  "Decrease in L2 accesses per subtile mapping",
-		Metric: "% decrease in total L2 accesses vs non-decoupled FG-xshift2",
-		Cols:   r.cols(),
-	}
+// bound (one SC with a 4x L1), all relative to the non-decoupled
+// FG-xshift2 baseline.
+func fig16() *experiment {
+	e := &experiment{id: "fig16",
+		title:  "Decrease in L2 accesses per subtile mapping",
+		metric: "% decrease in total L2 accesses vs non-decoupled FG-xshift2"}
 	for _, pol := range core.Fig8Mappings() {
-		pol := pol
-		row, err := r.rowCells(pol.Name, func(alias string) (float64, error) {
-			base, err := r.run(alias, core.Baseline(), false)
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.run(alias, pol, false)
-			if err != nil {
-				return 0, err
-			}
-			return pctDecrease(base.Metrics.L2Accesses(), res.Metrics.L2Accesses()), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, TableRow{Name: pol.Name, Values: withMean(row)})
+		e.rows = append(e.rows, series{pol.Name, []CellSpec{baseline, cell(pol.Name)}, l2Decrease, false})
 	}
-	// Upper bound: one SC with a 4x L1.
-	row, err := r.rowCells("UpperBound", func(alias string) (float64, error) {
-		base, err := r.run(alias, core.Baseline(), false)
-		if err != nil {
-			return 0, err
-		}
-		ubPol := core.Baseline()
-		ubPol.Name = "upper-bound"
-		ub, err := r.run(alias, ubPol, true)
-		if err != nil {
-			return 0, err
-		}
-		return pctDecrease(base.Metrics.L2Accesses(), ub.Metrics.L2Accesses()), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, TableRow{Name: "UpperBound", Values: withMean(row)})
-	return t, nil
+	ub := CellSpec{Policy: upperBoundName, UpperBound: true}
+	e.rows = append(e.rows, series{"UpperBound", []CellSpec{baseline, ub}, l2Decrease, false})
+	return e
 }
 
-func pctDecrease(base, v uint64) float64 {
-	return 100 * (1 - float64(v)/float64(base))
-}
-
-// Fig17 reproduces Figure 17: the FPS speedup of DTexL (HLB-flp2) and of
+// fig17 reproduces Figure 17: the FPS speedup of DTexL (HLB-flp2) and of
 // the decoupled FG-xshift2 over the non-decoupled baseline.
-func (r *Runner) Fig17() (*Table, error) {
-	t := &Table{
-		ID:     "fig17",
-		Title:  "Speedup with the decoupled architecture",
-		Metric: "FPS speedup over non-decoupled FG-xshift2",
-		Cols:   r.cols(),
-	}
+func fig17() *experiment {
+	e := &experiment{id: "fig17",
+		title:  "Speedup with the decoupled architecture",
+		metric: "FPS speedup over non-decoupled FG-xshift2"}
 	for _, pol := range []core.Policy{dtexlAsHLBFlp2(), core.BaselineDecoupled()} {
-		pol := pol
-		row, err := r.rowCells(pol.Name, func(alias string) (float64, error) {
-			base, err := r.run(alias, core.Baseline(), false)
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.run(alias, pol, false)
-			if err != nil {
-				return 0, err
-			}
-			return float64(base.Metrics.Cycles) / float64(res.Metrics.Cycles), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, TableRow{Name: pol.Name, Values: withGeoMean(row)})
+		e.rows = append(e.rows, series{pol.Name, []CellSpec{baseline, cell(pol.Name)}, speedup, true})
 	}
-	return t, nil
+	return e
 }
 
-// Fig18 reproduces Figure 18: the percentage decrease in total GPU energy
-// for the same two configurations.
-func (r *Runner) Fig18() (*Table, error) {
-	t := &Table{
-		ID:     "fig18",
-		Title:  "Decrease in total GPU energy",
-		Metric: "% decrease in total GPU energy vs non-decoupled FG-xshift2",
-		Cols:   r.cols(),
-	}
+// fig18 reproduces Figure 18: the percentage decrease in total GPU
+// energy for the same two configurations.
+func fig18() *experiment {
+	e := &experiment{id: "fig18",
+		title:  "Decrease in total GPU energy",
+		metric: "% decrease in total GPU energy vs non-decoupled FG-xshift2"}
 	for _, pol := range []core.Policy{dtexlAsHLBFlp2(), core.BaselineDecoupled()} {
-		pol := pol
-		row, err := r.rowCells(pol.Name, func(alias string) (float64, error) {
-			base, err := r.run(alias, core.Baseline(), false)
-			if err != nil {
-				return 0, err
-			}
-			res, err := r.run(alias, pol, false)
-			if err != nil {
-				return 0, err
-			}
-			return 100 * (1 - res.Energy.Total()/base.Energy.Total()), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, TableRow{Name: pol.Name, Values: withMean(row)})
+		e.rows = append(e.rows, series{pol.Name, []CellSpec{baseline, cell(pol.Name)}, func(rs []*RunResult) float64 {
+			return 100 * (1 - rs[1].Energy.Total()/rs[0].Energy.Total())
+		}, false})
 	}
-	return t, nil
+	return e
 }
 
 // dtexlAsHLBFlp2 returns the DTexL policy under its Fig. 17/18 label.
@@ -817,114 +575,160 @@ func dtexlAsHLBFlp2() core.Policy {
 	return p
 }
 
+// ---------------------------------------------------------------------
+// Rendering: a pure read of the memoized cells
+// ---------------------------------------------------------------------
+
 // ExperimentIDs lists every implemented experiment: the paper's figures
 // and tables first, then the ablations beyond the paper.
 func ExperimentIDs() []string {
-	return []string{
-		"fig1", "fig2", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"fig16", "fig17", "fig18", "tab1", "tab2",
-		"abl-tileorder", "abl-warps", "abl-l1size", "abl-fifo", "abl-tilesize", "abl-latez", "abl-prefetch", "abl-nuca", "abl-warpsched", "bg-imr",
-		"stalls",
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
 }
 
-// RunExperiment executes one experiment by ID and renders it to w (as
+// experimentByID looks an experiment up, ignoring case.
+func experimentByID(id string) (*experiment, error) {
+	for _, e := range experiments {
+		if e.id == strings.ToLower(id) {
+			return e, nil
+		}
+	}
+	return nil, fmt.Errorf("sim: unknown experiment %q (known: %s)", id, strings.Join(ExperimentIDs(), ", "))
+}
+
+// planOf lists the cells the given experiments read, for every
+// benchmark. Unknown ids read none.
+func (r *Runner) planOf(ids ...string) []CellSpec {
+	var cells []CellSpec
+	for _, id := range ids {
+		e, err := experimentByID(id)
+		if err != nil {
+			continue
+		}
+		for _, alias := range r.Opt.aliases() {
+			for _, c := range e.cells() {
+				c.Bench = alias
+				cells = append(cells, c)
+			}
+		}
+	}
+	return cells
+}
+
+// warmed looks an experiment up and warms its plan.
+func (r *Runner) warmed(id string) (*experiment, error) {
+	e, err := experimentByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return e, r.Warm(r.planOf(e.id))
+}
+
+// results reads the memoized results of one benchmark's cells. Under
+// KeepGoing a failed cell's cached error comes back without re-running.
+func (r *Runner) results(alias string, cells []CellSpec) ([]*RunResult, error) {
+	rs := make([]*RunResult, len(cells))
+	for i, c := range cells {
+		c.Bench = alias
+		res, err := r.RunCell(r.baseCtx(), c)
+		if err != nil {
+			return nil, err
+		}
+		rs[i] = res
+	}
+	return rs, nil
+}
+
+// Table warms a bar-table experiment's plan and renders its rows from
+// the memoized results. Under KeepGoing a benchmark whose cells failed
+// renders NaN ("NA") in that row.
+func (r *Runner) Table(id string) (*Table, error) {
+	e, err := r.warmed(id)
+	if err != nil {
+		return nil, err
+	}
+	if e.rows == nil {
+		return nil, fmt.Errorf("sim: %s is not a bar table", e.id)
+	}
+	t := &Table{ID: e.id, Title: e.title, Metric: e.metric, Cols: r.cols()}
+	for _, s := range e.rows {
+		var vals []float64
+		for _, alias := range r.Opt.aliases() {
+			v := math.NaN()
+			rs, err := r.results(alias, s.cells)
+			if err == nil {
+				v = s.value(rs)
+			} else if !r.KeepGoing {
+				return nil, err
+			}
+			vals = append(vals, v)
+		}
+		agg := naMean
+		if s.geo {
+			agg = naGeoMean
+		}
+		t.Rows = append(t.Rows, TableRow{Name: s.name, Values: append(vals, agg(vals))})
+	}
+	return t, nil
+}
+
+// Violin warms a violin experiment's plan and summarizes each
+// benchmark under each of violinCells. A failed violin renders as an
+// all-NA summary row under KeepGoing.
+func (r *Runner) Violin(id string) (*ViolinTable, error) {
+	e, err := r.warmed(id)
+	if err != nil {
+		return nil, err
+	}
+	if e.violin == nil {
+		return nil, fmt.Errorf("sim: %s is not a violin table", e.id)
+	}
+	t := &ViolinTable{ID: e.id, Title: e.title, Metric: e.metric}
+	for _, alias := range r.Opt.aliases() {
+		for _, v := range violinCells {
+			nan := math.NaN()
+			sum := stats.Summary{Min: nan, Q1: nan, Median: nan, Mean: nan, Q3: nan, Max: nan}
+			rs, err := r.results(alias, []CellSpec{v.cell})
+			if err == nil {
+				sum = stats.Summarize(e.violin(rs[0]))
+			} else if !r.KeepGoing {
+				return nil, err
+			}
+			t.Rows = append(t.Rows, ViolinRow{Bench: alias, Config: v.name, Summary: sum})
+		}
+	}
+	return t, nil
+}
+
+// RunExperiment warms one experiment's plan and renders it to w (as
 // CSV when r.CSV is set; tab1/tab2 are text-only).
 func (r *Runner) RunExperiment(id string, w io.Writer) error {
-	table := renderTable
-	violin := renderViolin
-	if r.CSV {
-		table = renderTableCSV
-		violin = renderViolinCSV
+	e, err := experimentByID(id)
+	if err != nil {
+		return err
 	}
-	switch strings.ToLower(id) {
-	case "fig1":
-		return table(r.Fig1())(w)
-	case "fig2":
-		return table(r.Fig2())(w)
-	case "fig11":
-		return table(r.Fig11())(w)
-	case "fig12":
-		return table(r.Fig12())(w)
-	case "fig13":
-		return table(r.Fig13())(w)
-	case "fig14":
-		return violin(r.Fig14())(w)
-	case "fig15":
-		return violin(r.Fig15())(w)
-	case "fig16":
-		return table(r.Fig16())(w)
-	case "fig17":
-		return table(r.Fig17())(w)
-	case "fig18":
-		return table(r.Fig18())(w)
-	case "tab1":
-		return r.Table1(w)
-	case "tab2":
-		return Table2(w)
-	case "abl-tileorder":
-		return table(r.AblTileOrder())(w)
-	case "abl-warps":
-		return table(r.AblWarpSlots())(w)
-	case "abl-l1size":
-		return table(r.AblL1Size())(w)
-	case "abl-fifo":
-		return table(r.AblFIFODepth())(w)
-	case "abl-tilesize":
-		return table(r.AblTileSize())(w)
-	case "abl-latez":
-		return table(r.AblLateZ())(w)
-	case "abl-prefetch":
-		return table(r.AblPrefetch())(w)
-	case "abl-nuca":
-		return table(r.AblNUCA())(w)
-	case "abl-warpsched":
-		return table(r.AblWarpSched())(w)
-	case "bg-imr":
-		return table(r.BgIMR())(w)
-	case "stalls":
-		return table(r.Stalls())(w)
+	var t interface {
+		Render(io.Writer)
+		RenderCSV(io.Writer)
+	}
+	switch {
+	case e.text != nil:
+		return e.text(r, w)
+	case e.violin != nil:
+		t, err = r.Violin(id)
 	default:
-		return fmt.Errorf("sim: unknown experiment %q (known: %s)", id, strings.Join(ExperimentIDs(), ", "))
+		t, err = r.Table(id)
 	}
-}
-
-func renderTable(t *Table, err error) func(io.Writer) error {
-	return func(w io.Writer) error {
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
+	if err != nil {
+		return err
 	}
-}
-
-func renderViolin(t *ViolinTable, err error) func(io.Writer) error {
-	return func(w io.Writer) error {
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}
-}
-
-func renderTableCSV(t *Table, err error) func(io.Writer) error {
-	return func(w io.Writer) error {
-		if err != nil {
-			return err
-		}
+	if r.CSV {
 		t.RenderCSV(w)
-		return nil
+	} else {
+		t.Render(w)
 	}
-}
-
-func renderViolinCSV(t *ViolinTable, err error) func(io.Writer) error {
-	return func(w io.Writer) error {
-		if err != nil {
-			return err
-		}
-		t.RenderCSV(w)
-		return nil
-	}
+	return nil
 }

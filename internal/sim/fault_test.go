@@ -28,12 +28,12 @@ func TestWarmPanicIsolationStrict(t *testing.T) {
 	r := NewRunner(faultOptions())
 	r.Parallelism = 2
 	r.Chaos = &ChaosConfig{Bench: "TRu", Policy: "*", Mode: ChaosPanic}
-	jobs := []runJob{
-		{"CCS", core.Baseline(), false},
-		{"TRu", core.Baseline(), false},
-		{"CCS", core.DTexL(), false},
+	cells := []CellSpec{
+		{Bench: "CCS", Policy: "baseline"},
+		{Bench: "TRu", Policy: "baseline"},
+		{Bench: "CCS", Policy: "DTexL"},
 	}
-	err := r.Warm(jobs)
+	err := r.Warm(cells)
 	if err == nil {
 		t.Fatal("Warm with an injected panic returned nil")
 	}
@@ -60,12 +60,12 @@ func TestWarmKeepGoingDegrades(t *testing.T) {
 	r.KeepGoing = true
 	r.Parallelism = 2
 	r.Chaos = &ChaosConfig{Bench: "TRu", Policy: "baseline", Mode: ChaosPanic}
-	jobs := []runJob{
-		{"TRu", core.Baseline(), false},
-		{"CCS", core.Baseline(), false},
-		{"TRu", core.DTexL(), false},
+	cells := []CellSpec{
+		{Bench: "TRu", Policy: "baseline"},
+		{Bench: "CCS", Policy: "baseline"},
+		{Bench: "TRu", Policy: "DTexL"},
 	}
-	if err := r.Warm(jobs); err != nil {
+	if err := r.Warm(cells); err != nil {
 		t.Fatalf("keep-going Warm returned %v", err)
 	}
 	fails := r.Failures()
@@ -109,7 +109,7 @@ func TestKeepGoingRendersNA(t *testing.T) {
 	r := NewRunner(faultOptions())
 	r.KeepGoing = true
 	r.Chaos = &ChaosConfig{Bench: "TRu", Policy: "*", Mode: ChaosError}
-	tab, err := r.Fig11()
+	tab, err := r.Table("fig11")
 	if err != nil {
 		t.Fatalf("keep-going Fig11 aborted: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestCellTimeoutKeepGoingRendersNA(t *testing.T) {
 		r.Parallelism = par
 		r.KeepGoing = true
 		r.RunTimeout = time.Nanosecond // every cell "hangs" past its budget
-		tab, err := r.Fig11()
+		tab, err := r.Table("fig11")
 		if err != nil {
 			t.Fatalf("Parallelism %d: keep-going Fig11 aborted on cell timeouts: %v", par, err)
 		}
@@ -187,7 +187,7 @@ func TestCellTimeoutKeepGoingRendersNA(t *testing.T) {
 		strict := NewRunner(faultOptions())
 		strict.Parallelism = par
 		strict.RunTimeout = time.Nanosecond
-		if _, err := strict.Fig11(); err == nil {
+		if _, err := strict.Table("fig11"); err == nil {
 			t.Fatalf("Parallelism %d: Fig11 without keep-going returned no error", par)
 		} else {
 			strictErrs = append(strictErrs, err.Error())
@@ -254,7 +254,7 @@ func TestKeepGoingViolin(t *testing.T) {
 	r := NewRunner(faultOptions())
 	r.KeepGoing = true
 	r.Chaos = &ChaosConfig{Bench: "TRu", Policy: "*", Mode: ChaosError}
-	tab, err := r.Fig14()
+	tab, err := r.Violin("fig14")
 	if err != nil {
 		t.Fatalf("keep-going Fig14 aborted: %v", err)
 	}

@@ -133,15 +133,22 @@ const defaultPrepBudget = 4 << 30
 
 // prepStore memoizes PreparedFrames with single-flight dedup (same
 // error-path and cancellable-wait contract as memo) plus an LRU byte
-// budget.
+// budget. A frame built for a planned cell (Warm) also leaves as soon
+// as no planned cell still needs it.
 type prepStore struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
+	held    int // completed frames
 	entries map[prepKey]*prepEntry
+	needs   map[prepKey]int // queued planned cells per frame
 	clock   uint64
 	hits    uint64
 	misses  uint64
+	// peakHeld and peakUsed are the most completed frames, and bytes,
+	// held at once.
+	peakHeld int
+	peakUsed int64
 }
 
 type prepEntry struct {
@@ -150,20 +157,22 @@ type prepEntry struct {
 	err     error
 	size    int64 // 0 until completed
 	lastUse uint64
+	planned bool // built for a planned cell
 }
 
 func newPrepStore(budget int64) *prepStore {
 	if budget == 0 {
 		budget = defaultPrepBudget
 	}
-	return &prepStore{budget: budget, entries: make(map[prepKey]*prepEntry)}
+	return &prepStore{budget: budget, entries: make(map[prepKey]*prepEntry), needs: make(map[prepKey]int)}
 }
 
 // do returns the memoized preparation for key, building it with fn on
-// first use and evicting least-recently-used preparations beyond the
-// byte budget. Waits on another caller's in-flight build respect ctx,
-// with the same cancelled-computer retry contract as memo.do.
-func (s *prepStore) do(ctx context.Context, key prepKey, fn func() (*pipeline.PreparedFrame, error)) (prep *pipeline.PreparedFrame, err error) {
+// first use (for a planned cell when planned is set) and evicting
+// least-recently-used preparations beyond the byte budget. Waits on
+// another caller's in-flight build respect ctx, with the same
+// cancelled-computer retry contract as memo.do.
+func (s *prepStore) do(ctx context.Context, key prepKey, planned bool, fn func() (*pipeline.PreparedFrame, error)) (prep *pipeline.PreparedFrame, err error) {
 	for {
 		s.mu.Lock()
 		s.clock++
@@ -185,7 +194,7 @@ func (s *prepStore) do(ctx context.Context, key prepKey, fn func() (*pipeline.Pr
 			}
 			return e.prep, e.err
 		}
-		e := &prepEntry{done: make(chan struct{}), lastUse: s.clock}
+		e := &prepEntry{done: make(chan struct{}), lastUse: s.clock, planned: planned}
 		s.entries[key] = e
 		s.misses++
 		s.mu.Unlock()
@@ -204,6 +213,9 @@ func (s *prepStore) do(ctx context.Context, key prepKey, fn func() (*pipeline.Pr
 			} else {
 				e.size = e.prep.SizeBytes()
 				s.used += e.size
+				s.held++
+				s.peakHeld = max(s.peakHeld, s.held)
+				s.peakUsed = max(s.peakUsed, s.used)
 				s.evictLocked(key)
 			}
 			s.mu.Unlock()
@@ -233,14 +245,34 @@ func (s *prepStore) evictLocked(keep prepKey) {
 		if ve == nil {
 			return
 		}
-		s.used -= ve.size
-		delete(s.entries, victim)
+		s.drop(victim, ve)
 	}
 }
 
-// stats returns the hit/miss counters.
-func (s *prepStore) stats() (hits, misses uint64) {
+// need adds n (negative when cells finish) to the planned cells still
+// to read key's frame. At zero a frame built for planned cells leaves.
+func (s *prepStore) need(key prepKey, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hits, s.misses
+	if s.needs[key] += n; s.needs[key] > 0 {
+		return
+	}
+	delete(s.needs, key)
+	if e, ok := s.entries[key]; ok && e.planned && e.size > 0 {
+		s.drop(key, e)
+	}
+}
+
+// drop removes a completed entry. Callers hold s.mu.
+func (s *prepStore) drop(key prepKey, e *prepEntry) {
+	s.used -= e.size
+	s.held--
+	delete(s.entries, key)
+}
+
+// stats returns the hit/miss counters and the residency peaks.
+func (s *prepStore) stats() (hits, misses uint64, peakHeld int, peakUsed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hits, s.misses, s.peakHeld, s.peakUsed
 }

@@ -163,10 +163,10 @@ func TestWarmSurvivesCancelledWaiters(t *testing.T) {
 			}
 		}()
 	}
-	err := r.Warm([]runJob{
-		{"TRu", core.Baseline(), false},
-		{"CCS", core.Baseline(), false},
-		{"TRu", core.DTexL(), false},
+	err := r.Warm([]CellSpec{
+		{Bench: "TRu", Policy: "baseline"},
+		{Bench: "CCS", Policy: "baseline"},
+		{Bench: "TRu", Policy: "DTexL"},
 	})
 	close(stop)
 	wg.Wait()

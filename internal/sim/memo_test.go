@@ -73,26 +73,27 @@ func TestMemoPanicReleasesWaiters(t *testing.T) {
 }
 
 // TestWarmErrorPath exercises the Runner.Warm failure contract: a bad
-// job must surface its error without deadlocking the producer (all
-// workers can exit while jobs remain), and without leaving a partial
-// memo entry — good jobs remain runnable and the bad one re-errors.
+// cell must surface its error without deadlocking the pool (all
+// workers can exit while cells remain), and without leaving a partial
+// memo entry — good cells remain runnable and the bad one re-errors.
 func TestWarmErrorPath(t *testing.T) {
 	r := NewRunner(testOptions())
 	r.Parallelism = 4
 	bad := core.Baseline()
-	jobs := []runJob{{Alias: "???", Policy: bad}}
-	for i := 0; i < 32; i++ {
-		// Enough trailing jobs that a blocked producer would deadlock.
-		jobs = append(jobs, runJob{Alias: "TRu", Policy: core.Baseline()})
+	cells := []CellSpec{{Bench: "???", Policy: bad.Name}}
+	for i := 1; i <= 32; i++ {
+		// Enough distinct trailing cells that a blocked queue would
+		// deadlock.
+		cells = append(cells, CellSpec{Bench: "TRu", Policy: "baseline", Override: &Override{WarpSlots: i}})
 	}
-	if err := r.Warm(jobs); err == nil {
-		t.Fatal("Warm swallowed the bad job's error")
+	if err := r.Warm(cells); err == nil {
+		t.Fatal("Warm swallowed the bad cell's error")
 	}
 	if _, err := r.run("???", bad, false); err == nil {
-		t.Fatal("failed job left a memo entry that reads as complete")
+		t.Fatal("failed cell left a memo entry that reads as complete")
 	}
 	if _, err := r.run("TRu", core.Baseline(), false); err != nil {
-		t.Fatalf("good job unusable after failed Warm: %v", err)
+		t.Fatalf("good cell unusable after failed Warm: %v", err)
 	}
 }
 
@@ -102,15 +103,28 @@ func TestWarmErrorPath(t *testing.T) {
 func TestWarmConcurrentSharing(t *testing.T) {
 	r := NewRunner(testOptions())
 	r.Parallelism = 8
-	var jobs []runJob
+	var cells []CellSpec
 	pols := []core.Policy{core.Baseline(), core.BaselineDecoupled(), core.DTexL()}
 	for _, alias := range r.Opt.aliases() {
 		for _, pol := range pols {
-			// Duplicate each job so concurrent workers collide on keys.
-			jobs = append(jobs, runJob{Alias: alias, Policy: pol}, runJob{Alias: alias, Policy: pol})
+			cells = append(cells, CellSpec{Bench: alias, Policy: pol.Name})
 		}
 	}
-	if err := r.Warm(jobs); err != nil {
+	// A second caller of the same cells collides with Warm's workers on
+	// every key.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, c := range cells {
+			if _, err := r.RunCell(t.Context(), c); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	err := r.Warm(cells)
+	wg.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
 	tm := r.Timing()
@@ -124,28 +138,43 @@ func TestWarmConcurrentSharing(t *testing.T) {
 		t.Errorf("simulations = %d, want %d", tm.SimMisses, len(r.Opt.aliases())*len(pols))
 	}
 	if tm.SimHits == 0 {
-		t.Error("duplicate jobs produced no memo hits")
+		t.Error("duplicate callers produced no memo hits")
 	}
 }
 
 // TestWarmAllSharesConfigDuplicates checks the config-keyed layer: the
-// WarmAll job list repeats machine configurations under different policy
-// names (DTexL vs HLB-flp2, FG-xshift2 vs baseline), which must not
-// re-simulate.
+// suite cells repeat machine configurations under different policy
+// names (DTexL vs HLB-flp2, FG-xshift2 vs baseline), and the ablations
+// repeat default sweep points, none of which may re-simulate.
 func TestWarmAllSharesConfigDuplicates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full WarmAll sweep")
 	}
 	r := NewRunner(testOptions())
-	if err := r.WarmAll(); err != nil {
+	if err := r.Warm(SuiteCells(r.Opt)); err != nil {
 		t.Fatal(err)
 	}
 	tm := r.Timing()
-	// 22 named jobs per benchmark; at least 2 are config-duplicates
+	// 22 named cells per benchmark; at least 2 are config-duplicates
 	// (HLB-flp2 == DTexL's config, FG-xshift2 == baseline's).
 	perBench := uint64(20)
 	maxSims := perBench * uint64(len(r.Opt.aliases()))
 	if tm.SimMisses > maxSims {
-		t.Errorf("WarmAll executed %d simulations, want <= %d (config dedup broken)", tm.SimMisses, maxSims)
+		t.Errorf("suite cells executed %d simulations, want <= %d (config dedup broken)", tm.SimMisses, maxSims)
+	}
+	if err := r.WarmAll(); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[simKey]bool{}
+	plan := r.planOf(ExperimentIDs()...)
+	for _, c := range plan {
+		key, _, err := cellKey(r.Opt, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[key] = true
+	}
+	if got := r.Timing().SimMisses; got != uint64(len(keys)) {
+		t.Errorf("WarmAll executed %d simulations, want one per distinct configuration (%d of %d cells)", got, len(keys), len(plan))
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -31,37 +32,23 @@ func stallSweep(t *testing.T) []sweepResult {
 		opt := ScaledOptions(8)
 		r := NewRunner(opt)
 		r.Parallelism = 4
-		var jobs []runJob
+		var cells []CellSpec
 		for _, alias := range opt.aliases() {
 			for _, pol := range suitePolicies() {
-				jobs = append(jobs, runJob{Alias: alias, Policy: pol})
+				cells = append(cells, CellSpec{Bench: alias, Policy: pol.Name})
 			}
+			cells = append(cells, CellSpec{Bench: alias, Policy: "baseline", IMR: true})
 		}
-		if sweepErr = r.Warm(jobs); sweepErr != nil {
+		if sweepErr = r.Warm(cells); sweepErr != nil {
 			return
 		}
-		for _, j := range jobs {
-			res, err := r.run(j.Alias, j.Policy, j.UpperBound)
+		for _, c := range cells {
+			res, err := r.RunCell(context.Background(), c)
 			if err != nil {
 				sweepErr = err
 				return
 			}
-			sweepRes = append(sweepRes, sweepResult{j.Alias + "/" + j.Policy.Name, res.Metrics})
-		}
-		for _, alias := range opt.aliases() {
-			scene, err := r.scene(alias)
-			if err != nil {
-				sweepErr = err
-				return
-			}
-			cfg := pipeline.DefaultConfig()
-			cfg.Width, cfg.Height = opt.Width, opt.Height
-			m, err := r.runIMR(scene, cfg)
-			if err != nil {
-				sweepErr = err
-				return
-			}
-			sweepRes = append(sweepRes, sweepResult{alias + "/imr", m})
+			sweepRes = append(sweepRes, sweepResult{c.ID(), res.Metrics})
 		}
 	})
 	if sweepErr != nil {
@@ -133,7 +120,7 @@ func TestStallsExperimentSumsTo100(t *testing.T) {
 	opt := ScaledOptions(8)
 	opt.Benchmarks = []string{"SWa", "CRa"}
 	r := NewRunner(opt)
-	tab, err := r.Stalls()
+	tab, err := r.Table("stalls")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +151,7 @@ func TestStallsExperimentSumsTo100(t *testing.T) {
 func TestStallsShapeMatchesPaper(t *testing.T) {
 	opt := ScaledOptions(8)
 	r := NewRunner(opt)
-	tab, err := r.Stalls()
+	tab, err := r.Table("stalls")
 	if err != nil {
 		t.Fatal(err)
 	}

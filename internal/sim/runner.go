@@ -3,15 +3,18 @@
 // implements one function per table and figure of the paper's evaluation
 // (see experiments.go and DESIGN.md's experiment index).
 //
+// Every simulation an experiment reads is a CellSpec, and each
+// experiment declares its cells as data: RunExperiment warms that plan
+// (Warm), then renders by reading memoized results only.
+//
 // Runs are memoized at three layers (scene store, preparation store,
 // simulation memo), each single-flighted so concurrent workers never
 // duplicate a computation, and each cancellation-safe: a waiter whose
 // context ends detaches without poisoning the shared entry.
-// Runner.Parallelism bounds one worker pool that runs whole simulations
-// concurrently, both in Warm and across the benchmarks of each
-// experiment row; each simulation is itself serial and deterministic,
-// and values, failures and errors come back in benchmark order, so
-// output does not depend on the setting (DESIGN.md §11).
+// Runner.Parallelism bounds the one worker pool Warm runs whole
+// simulations on; each simulation is itself serial and deterministic,
+// and failures and errors come back in plan order, so output does not
+// depend on the setting (DESIGN.md §11).
 package sim
 
 import (
@@ -87,16 +90,35 @@ func RunOne(alias string, pol core.Policy, opt Options, upperBound bool) (*RunRe
 }
 
 // simKey identifies one memoizable simulation: the workload (benchmark
-// alias + seed + frame count) and the *effective* machine configuration
-// after the policy and any ablation mutation are applied. Keying on the
-// resolved Config rather than the policy name means two policies that
-// configure the same machine (e.g. DTexL under its HLB-flp2 label, or an
-// ablation sweep point equal to the default) share one simulation.
+// alias + seed + frame count), the machine kind and the *effective*
+// machine configuration after the policy and any ablation override are
+// applied. Keying on the resolved Config rather than the policy name
+// means two policies that configure the same machine (e.g. DTexL under
+// its HLB-flp2 label, or an ablation sweep point equal to the default)
+// share one simulation. IMR is omitted from the key bytes when false,
+// so tile-based keys read as they always have.
 type simKey struct {
 	Alias  string
 	Seed   uint64
 	Frames int
 	Cfg    pipeline.Config
+	IMR    bool `json:",omitempty"`
+}
+
+// newSimKey resolves the tile-based simulation of alias under pol.
+func newSimKey(opt Options, alias string, pol core.Policy) simKey {
+	cfg := pipeline.DefaultConfig()
+	cfg.Width, cfg.Height = opt.Width, opt.Height
+	pol.Apply(&cfg)
+	return simKey{Alias: alias, Seed: opt.Seed, Frames: max(opt.Frames, 1), Cfg: cfg}
+}
+
+// prepKey returns the key of the prepared frame the simulation reads,
+// and false when it reads none: multi-frame and IMR runs build their
+// front half live.
+func (k simKey) prepKey() (prepKey, bool) {
+	pk := prepKey{Alias: k.Alias, Seed: k.Seed, Front: pipeline.FrontKeyOf(k.Cfg)}
+	return pk, k.Frames == 1 && !k.IMR && k.Cfg.RenderTarget == nil
 }
 
 // simResult is the label-independent part of a RunResult.
@@ -130,21 +152,22 @@ func (r *Runner) RunOneWith(alias string, pol core.Policy, mutate func(*pipeline
 // inherit the foreign context error; each retry is bounded by the
 // retrier's own ctx and the Runner's per-cell RunTimeout.
 func (r *Runner) RunOneCtx(reqCtx context.Context, alias string, pol core.Policy, mutate func(*pipeline.Config)) (*RunResult, error) {
+	key := newSimKey(r.Opt, alias, pol)
+	if mutate != nil {
+		mutate(&key.Cfg)
+	}
+	return r.simulate(reqCtx, key, pol, false)
+}
+
+// simulate returns the memoized result of key, run under pol's label:
+// from the memo, the journal, the store, or a fresh run. planned marks
+// a cell Warm queued (see prepStore.need).
+func (r *Runner) simulate(reqCtx context.Context, key simKey, pol core.Policy, planned bool) (*RunResult, error) {
+	alias := key.Alias
 	prof, err := trace.ProfileByAlias(alias)
 	if err != nil {
 		return nil, err
 	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Width, cfg.Height = r.Opt.Width, r.Opt.Height
-	pol.Apply(&cfg)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	frames := r.Opt.Frames
-	if frames < 1 {
-		frames = 1
-	}
-	key := simKey{Alias: alias, Seed: r.Opt.Seed, Frames: frames, Cfg: cfg}
 	if r.KeepGoing {
 		// A configuration that already failed fails fast: cells shared by
 		// several figures go NA from the cached error instead of re-running
@@ -206,45 +229,15 @@ func (r *Runner) RunOneCtx(reqCtx context.Context, alias string, pol core.Policy
 			}
 		}
 		t0 := time.Now()
-		scenes, err := r.scenes.AnimationContext(ctx, prof, cfg.Width, cfg.Height, r.Opt.Seed, frames)
+		scenes, err := r.scenes.AnimationContext(ctx, prof, key.Cfg.Width, key.Cfg.Height, key.Seed, key.Frames)
 		atomic.AddInt64(&r.generateNanos, int64(time.Since(t0)))
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s/%s: %w", alias, pol.Name, err)
 		}
-		var ms []*pipeline.Metrics
-		if frames == 1 && cfg.RenderTarget == nil {
-			pk := prepKey{Alias: alias, Seed: r.Opt.Seed, Front: pipeline.FrontKeyOf(cfg)}
-			t1 := time.Now()
-			prep, err := r.prepStoreLazy().do(ctx, pk, func() (*pipeline.PreparedFrame, error) {
-				p, perr := pipeline.PrepareFrame(scenes[0], cfg)
-				if perr == nil {
-					// Attribute the build split inside the memo body so only
-					// the worker that actually built the frame counts it.
-					atomic.AddInt64(&r.geometryNanos, int64(p.GeometryTime))
-					atomic.AddInt64(&r.coverageNanos, int64(p.CoverageTime))
-				}
-				return p, perr
-			})
-			atomic.AddInt64(&r.prepareNanos, int64(time.Since(t1)))
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s/%s: %w", alias, pol.Name, err)
-			}
-			t2 := time.Now()
-			m, err := pipeline.RunPreparedContext(ctx, prep, cfg)
-			atomic.AddInt64(&r.rasterNanos, int64(time.Since(t2)))
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s/%s: %w", alias, pol.Name, err)
-			}
-			ms = []*pipeline.Metrics{m}
-		} else {
-			t2 := time.Now()
-			ms, err = pipeline.RunFramesContext(ctx, scenes, cfg)
-			atomic.AddInt64(&r.rasterNanos, int64(time.Since(t2)))
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s/%s: %w", alias, pol.Name, err)
-			}
+		m, err := r.compute(ctx, key, scenes, planned)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %s/%s: %w", alias, pol.Name, err)
 		}
-		m := aggregateMetrics(ms)
 		sr := &simResult{Metrics: m, Energy: energy.DefaultModel().Estimate(m.Events)}
 		if r.Journal != nil {
 			// Best-effort: a failed append only costs a deterministic
@@ -282,9 +275,46 @@ func (r *Runner) RunOneCtx(reqCtx context.Context, alias string, pol core.Policy
 	return &RunResult{Bench: alias, Policy: pol, Metrics: res.Metrics, Energy: res.Energy}, nil
 }
 
+// compute runs key's simulation on its scenes: the immediate-mode
+// machine, the live multi-frame path, or one frame on its memoized
+// preparation.
+func (r *Runner) compute(ctx context.Context, key simKey, scenes []*trace.Scene, planned bool) (*pipeline.Metrics, error) {
+	pk, prepared := key.prepKey()
+	if !prepared {
+		t0 := time.Now()
+		defer func() { atomic.AddInt64(&r.rasterNanos, int64(time.Since(t0))) }()
+		if key.IMR {
+			return pipeline.RunIMRContext(ctx, scenes[0], key.Cfg)
+		}
+		ms, err := pipeline.RunFramesContext(ctx, scenes, key.Cfg)
+		if err != nil {
+			return nil, err
+		}
+		return aggregateMetrics(ms), nil
+	}
+	t1 := time.Now()
+	prep, err := r.prepStoreLazy().do(ctx, pk, planned, func() (*pipeline.PreparedFrame, error) {
+		p, perr := pipeline.PrepareFrame(scenes[0], key.Cfg)
+		if perr == nil {
+			// Attribute the build split inside the memo body so only
+			// the worker that actually built the frame counts it.
+			atomic.AddInt64(&r.geometryNanos, int64(p.GeometryTime))
+			atomic.AddInt64(&r.coverageNanos, int64(p.CoverageTime))
+		}
+		return p, perr
+	})
+	atomic.AddInt64(&r.prepareNanos, int64(time.Since(t1)))
+	if err != nil {
+		return nil, err
+	}
+	t2 := time.Now()
+	defer func() { atomic.AddInt64(&r.rasterNanos, int64(time.Since(t2))) }()
+	return pipeline.RunPreparedContext(ctx, prep, key.Cfg)
+}
+
 // scene returns the benchmark's frame-0 scene from the shared store
-// (generating the animation on first use), for consumers that need the
-// scene itself rather than a simulation — Table 1 and the IMR baseline.
+// (generating the animation on first use), for Table 1, which needs the
+// scene itself rather than a simulation.
 func (r *Runner) scene(alias string) (*trace.Scene, error) {
 	prof, err := trace.ProfileByAlias(alias)
 	if err != nil {
@@ -324,6 +354,11 @@ type Timing struct {
 	SceneHits, SceneMisses uint64
 	PrepHits, PrepMisses   uint64
 	SimHits, SimMisses     uint64
+
+	// PeakPrepared and PeakPreparedBytes are the most prepared frames,
+	// and their bytes by PreparedFrame.SizeBytes, held at once.
+	PeakPrepared      int
+	PeakPreparedBytes int64
 }
 
 // Timing snapshots the Runner's counters. Safe to call concurrently
@@ -338,24 +373,27 @@ func (r *Runner) Timing() Timing {
 	}
 	t.SceneHits, t.SceneMisses = r.scenes.Stats()
 	t.SimHits, t.SimMisses = r.sims.stats()
-	t.PrepHits, t.PrepMisses = r.prepStoreLazy().stats()
+	t.PrepHits, t.PrepMisses, t.PeakPrepared, t.PeakPreparedBytes = r.prepStoreLazy().stats()
 	return t
 }
 
 // String renders the timing summary as the -timing flag prints it: one
 // line per phase (scene generation, geometry+binning, tile coverage,
-// raster simulation) so perf work can attribute wins without a profiler.
+// raster simulation) so perf work can attribute wins without a profiler,
+// then the memo counters and the prepared frames' residency peak.
 func (t Timing) String() string {
 	return fmt.Sprintf(
 		"phase wall time: scene generation %v, geometry+binning %v, tile coverage %v, raster %v\n"+
-			"memo hits/misses: scenes %d/%d, preparations %d/%d, simulations %d/%d",
+			"memo hits/misses: scenes %d/%d, preparations %d/%d, simulations %d/%d\n"+
+			"prepared frames held at once: peak %d (%.1f MiB)",
 		t.Generate.Round(time.Millisecond),
 		t.Geometry.Round(time.Millisecond),
 		t.Coverage.Round(time.Millisecond),
 		t.Raster.Round(time.Millisecond),
 		t.SceneHits, t.SceneMisses,
 		t.PrepHits, t.PrepMisses,
-		t.SimHits, t.SimMisses)
+		t.SimHits, t.SimMisses,
+		t.PeakPrepared, float64(t.PeakPreparedBytes)/(1<<20))
 }
 
 // aggregateMetrics folds per-frame metrics into one whole-animation

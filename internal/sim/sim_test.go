@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dtexl/internal/core"
+	"dtexl/internal/pipeline"
 )
 
 // testOptions runs at 1/8 the paper resolution over a 3-game subset to
@@ -14,6 +15,16 @@ func testOptions() Options {
 	o := ScaledOptions(8)
 	o.Benchmarks = []string{"TRu", "CCS", "GTr"}
 	return o
+}
+
+// run is the memoized simulation of alias under pol, at the Fig. 16
+// upper bound when ub is set.
+func (r *Runner) run(alias string, pol core.Policy, ub bool) (*RunResult, error) {
+	var mutate func(*pipeline.Config)
+	if ub {
+		mutate = core.ApplyUpperBound
+	}
+	return r.RunOneWith(alias, pol, mutate)
 }
 
 func TestRunOne(t *testing.T) {
@@ -52,7 +63,7 @@ func TestRunnerCaches(t *testing.T) {
 
 func TestFig1And2Shapes(t *testing.T) {
 	r := NewRunner(testOptions())
-	f1, err := r.Fig1()
+	f1, err := r.Table("fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +76,7 @@ func TestFig1And2Shapes(t *testing.T) {
 			t.Errorf("fig1 col %d: TL (%v) not above LB (%v)", i, v, f1.Rows[0].Values[i])
 		}
 	}
-	f2, err := r.Fig2()
+	f2, err := r.Table("fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +90,7 @@ func TestFig1And2Shapes(t *testing.T) {
 
 func TestFig11Shape(t *testing.T) {
 	r := NewRunner(testOptions())
-	f, err := r.Fig11()
+	f, err := r.Table("fig11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +121,7 @@ func TestFig11Shape(t *testing.T) {
 
 func TestFig12CGImbalanceAboveFG(t *testing.T) {
 	r := NewRunner(testOptions())
-	f, err := r.Fig12()
+	f, err := r.Table("fig12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +140,7 @@ func TestFig12CGImbalanceAboveFG(t *testing.T) {
 
 func TestFig13NoSpeedupWithoutDecoupling(t *testing.T) {
 	r := NewRunner(testOptions())
-	f, err := r.Fig13()
+	f, err := r.Table("fig13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +154,7 @@ func TestFig13NoSpeedupWithoutDecoupling(t *testing.T) {
 
 func TestFig14And15Violins(t *testing.T) {
 	r := NewRunner(testOptions())
-	f14, err := r.Fig14()
+	f14, err := r.Violin("fig14")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +168,7 @@ func TestFig14And15Violins(t *testing.T) {
 			t.Errorf("%s: CG time imbalance (%v) not above FG (%v)", fg.Bench, cg.Summary.Mean, fg.Summary.Mean)
 		}
 	}
-	f15, err := r.Fig15()
+	f15, err := r.Violin("fig15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +182,7 @@ func TestFig14And15Violins(t *testing.T) {
 
 func TestFig16MappingsAndBound(t *testing.T) {
 	r := NewRunner(testOptions())
-	f, err := r.Fig16()
+	f, err := r.Table("fig16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +216,7 @@ func TestFig16MappingsAndBound(t *testing.T) {
 
 func TestFig17SpeedupOrdering(t *testing.T) {
 	r := NewRunner(testOptions())
-	f, err := r.Fig17()
+	f, err := r.Table("fig17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +240,7 @@ func TestFig17SpeedupOrdering(t *testing.T) {
 
 func TestFig18EnergyOrdering(t *testing.T) {
 	r := NewRunner(testOptions())
-	f, err := r.Fig18()
+	f, err := r.Table("fig18")
 	if err != nil {
 		t.Fatal(err)
 	}

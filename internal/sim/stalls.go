@@ -19,41 +19,27 @@ var stallCauses = []struct {
 	{"drain-wait", func(b pipeline.SCBreakdown) int64 { return b.DrainWait }},
 }
 
-// Stalls renders the stall-cause breakdown behind Fig. 17's speedup: for
+// stalls renders the stall-cause breakdown behind Fig. 17's speedup: for
 // the coupled baseline and DTexL, the share of total shader-core cycles
 // (NumSC x raster cycles) attributed to each disjoint cause. The paper's
 // §III-E claim — decoupling drives inter-tile idle "to near zero" — shows
 // up as the baseline's barrier-wait share collapsing to structural zero
 // under DTexL, partially reinvested as busy/tex-wait.
-func (r *Runner) Stalls() (*Table, error) {
-	t := &Table{
-		ID:     "stalls",
-		Title:  "Stall breakdown: where SC cycles go (coupled baseline vs DTexL)",
-		Metric: "% of total SC raster-phase cycles, by disjoint cause",
-		Cols:   r.cols(),
-	}
+func stalls() *experiment {
+	e := &experiment{id: "stalls",
+		title:  "Stall breakdown: where SC cycles go (coupled baseline vs DTexL)",
+		metric: "% of total SC raster-phase cycles, by disjoint cause"}
 	for _, pol := range []core.Policy{core.Baseline(), dtexlAsHLBFlp2()} {
-		pol := pol
 		for _, cause := range stallCauses {
-			cause := cause
-			series := pol.Name + " " + cause.name
-			row, err := r.rowCells(series, func(alias string) (float64, error) {
-				res, err := r.run(alias, pol, false)
-				if err != nil {
-					return 0, err
-				}
-				m := res.Metrics
+			e.rows = append(e.rows, series{pol.Name + " " + cause.name, []CellSpec{cell(pol.Name)}, func(rs []*RunResult) float64 {
+				m := rs[0].Metrics
 				denom := float64(int64(m.Config.NumSC) * m.RasterCycles)
 				if denom == 0 {
-					return 0, nil
+					return 0
 				}
-				return 100 * float64(cause.get(m.BreakdownTotals())) / denom, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, TableRow{Name: series, Values: withMean(row)})
+				return 100 * float64(cause.get(m.BreakdownTotals())) / denom
+			}, false})
 		}
 	}
-	return t, nil
+	return e
 }

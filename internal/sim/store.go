@@ -241,7 +241,7 @@ func (s *Store) RecordCellResult(opt Options, c CellSpec, resultBytes []byte) er
 	if err := json.Unmarshal(resultBytes, &res); err != nil || res.Metrics == nil {
 		return fmt.Errorf("sim: store: cell %s result does not parse: %v", c.ID(), err)
 	}
-	key, err := cellKey(opt, c)
+	key, _, err := cellKey(opt, c)
 	if err != nil {
 		return err
 	}
@@ -257,7 +257,7 @@ func (s *Store) RecordCellResult(opt Options, c CellSpec, resultBytes []byte) er
 // entries found during the scan are dropped (and the cell reported
 // absent) so the fleet recomputes them.
 func (s *Store) HasCell(opt Options, c CellSpec) bool {
-	key, err := cellKey(opt, c)
+	key, _, err := cellKey(opt, c)
 	if err != nil {
 		return false
 	}
@@ -313,7 +313,7 @@ type GCStats struct {
 func SweepEntryNames(opt Options) (map[string]bool, error) {
 	pins := make(map[string]bool)
 	for _, c := range SuiteCells(opt) {
-		key, err := cellKey(opt, c)
+		key, _, err := cellKey(opt, c)
 		if err != nil {
 			return nil, err
 		}

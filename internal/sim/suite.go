@@ -2,27 +2,103 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"dtexl/internal/core"
 	"dtexl/internal/pipeline"
+	"dtexl/internal/tileorder"
 )
 
-// CellSpec names one suite cell — a (benchmark, policy) simulation — in
-// a form that serializes over the fleet wire protocol and round-trips
-// to the exact simulation the serial suite would run. Policy is the
-// figure-style label resolved by ResolvePolicy (including the suite's
-// special labels "DTexL(HLB-flp2)" and "upper-bound").
+// CellSpec names one simulation — a benchmark under a policy, optionally
+// with ablated machine fields or on the immediate-mode machine — in a
+// form that serializes over the fleet wire protocol and round-trips to
+// the exact simulation an experiment reads. Policy is the figure-style
+// label resolved by ResolvePolicy (including the suite's special labels
+// "DTexL(HLB-flp2)" and "upper-bound").
 type CellSpec struct {
 	Bench  string `json:"bench"`
 	Policy string `json:"policy"`
 	// UpperBound applies the Fig. 16 single-SC rewrite after the policy.
 	UpperBound bool `json:"upper_bound,omitempty"`
+	// Override sets ablated machine fields after the policy.
+	Override *Override `json:"override,omitempty"`
+	// IMR runs the immediate-mode machine instead of the tile-based one.
+	IMR bool `json:"imr,omitempty"`
 }
 
-// ID is the cell's human-readable identity ("bench/policy"), unique
-// within a suite.
-func (c CellSpec) ID() string { return c.Bench + "/" + c.Policy }
+// Override holds the machine fields the ablations vary. A zero field
+// keeps the policy's machine (Table II); the enums are named by their
+// String forms.
+type Override struct {
+	WarpSlots int    `json:"warp_slots,omitempty"`
+	FIFODepth int    `json:"fifo_depth,omitempty"`
+	TileSize  int    `json:"tile_size,omitempty"`
+	L1KiB     int    `json:"l1_kib,omitempty"`
+	LateZ     bool   `json:"late_z,omitempty"`
+	Prefetch  bool   `json:"prefetch,omitempty"`
+	NUCA      bool   `json:"nuca,omitempty"`
+	WarpSched string `json:"warp_sched,omitempty"`
+	TileOrder string `json:"tile_order,omitempty"`
+}
+
+// apply writes the overridden fields into cfg.
+func (o *Override) apply(cfg *pipeline.Config) error {
+	if o.WarpSlots < 0 || o.FIFODepth < 0 || o.TileSize < 0 || o.L1KiB < 0 {
+		return fmt.Errorf("sim: negative override %+v", *o)
+	}
+	if o.WarpSlots > 0 {
+		cfg.WarpSlots = o.WarpSlots
+	}
+	if o.FIFODepth > 0 {
+		cfg.FIFODepth = o.FIFODepth
+	}
+	if o.TileSize > 0 {
+		cfg.TileSize = o.TileSize
+	}
+	if o.L1KiB > 0 {
+		cfg.Hierarchy.L1Tex.SizeBytes = o.L1KiB << 10
+	}
+	cfg.LateZ = cfg.LateZ || o.LateZ
+	cfg.TexturePrefetch = cfg.TexturePrefetch || o.Prefetch
+	cfg.Hierarchy.NUCA = cfg.Hierarchy.NUCA || o.NUCA
+	if o.WarpSched != "" {
+		p := pipeline.WarpSchedEarliest
+		for p <= pipeline.WarpSchedYoungest && p.String() != o.WarpSched {
+			p++
+		}
+		if p > pipeline.WarpSchedYoungest {
+			return fmt.Errorf("sim: unknown warp scheduler %q", o.WarpSched)
+		}
+		cfg.WarpSched = p
+	}
+	if o.TileOrder != "" {
+		known := false
+		for _, k := range tileorder.Kinds() {
+			if k.String() == o.TileOrder {
+				cfg.TileOrder, known = k, true
+			}
+		}
+		if !known {
+			return fmt.Errorf("sim: unknown tile order %q", o.TileOrder)
+		}
+	}
+	return nil
+}
+
+// ID is the cell's human-readable identity, unique within a plan:
+// "bench/policy", then "/imr" and the override's JSON when set.
+func (c CellSpec) ID() string {
+	id := c.Bench + "/" + c.Policy
+	if c.IMR {
+		id += "/imr"
+	}
+	if c.Override != nil {
+		b, _ := json.Marshal(c.Override)
+		id += string(b)
+	}
+	return id
+}
 
 // upperBoundName is the label the suite gives the Fig. 16 single-SC
 // bound cell.
@@ -48,16 +124,16 @@ func (c CellSpec) ResolvePolicy() (core.Policy, bool, error) {
 }
 
 // SuiteCells enumerates every simulation the paper's figures need under
-// the given options — the same set WarmAll pre-runs — as serializable
-// cells, in deterministic order. This is the unit of fleet sharding:
-// a coordinator leases these cells to workers, and completing all of
-// them lets every figure render without further simulation.
+// the given options as serializable cells, in deterministic order. This
+// is the unit of fleet sharding: a coordinator leases these cells to
+// workers, and completing all of them lets every figure render without
+// further simulation.
 func SuiteCells(opt Options) []CellSpec {
 	var cells []CellSpec
 	seen := map[string]bool{}
 	add := func(c CellSpec) {
-		if !seen[c.ID()] {
-			seen[c.ID()] = true
+		if id := c.ID(); !seen[id] {
+			seen[id] = true
 			cells = append(cells, c)
 		}
 	}
@@ -81,38 +157,36 @@ func suitePolicyList() []core.Policy {
 	return pols
 }
 
-// cellKey builds the canonical memo/store key of a cell under opt — the
-// same key RunOneCtx derives, so a result recorded against this key is
-// found by the Runner's store lookup.
-func cellKey(opt Options, c CellSpec) (simKey, error) {
+// cellKey resolves a cell under opt into its policy and its canonical
+// memo/store key: the effective configuration, the same key RunOneCtx
+// derives, so a result recorded against this key is found by the
+// Runner's store lookup.
+func cellKey(opt Options, c CellSpec) (simKey, core.Policy, error) {
 	pol, ub, err := c.ResolvePolicy()
 	if err != nil {
-		return simKey{}, err
+		return simKey{}, pol, err
 	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Width, cfg.Height = opt.Width, opt.Height
-	pol.Apply(&cfg)
+	key := newSimKey(opt, c.Bench, pol)
 	if ub {
-		core.ApplyUpperBound(&cfg)
+		core.ApplyUpperBound(&key.Cfg)
 	}
-	frames := opt.Frames
-	if frames < 1 {
-		frames = 1
+	if c.Override != nil {
+		if err := c.Override.apply(&key.Cfg); err != nil {
+			return simKey{}, pol, err
+		}
 	}
-	return simKey{Alias: c.Bench, Seed: opt.Seed, Frames: frames, Cfg: cfg}, nil
+	key.IMR = c.IMR
+	return key, pol, nil
 }
 
-// RunCell executes one suite cell through the Runner's full memo stack
-// (L1 memo → journal → shared store → compute) — the fleet worker's
-// entry point. Results are bit-identical to the serial suite's.
+// RunCell executes one cell through the Runner's full memo stack (L1
+// memo → journal → shared store → compute) — the fleet worker's entry
+// point and the experiments' read path. Results are bit-identical to
+// the serial suite's.
 func (r *Runner) RunCell(ctx context.Context, c CellSpec) (*RunResult, error) {
-	pol, ub, err := c.ResolvePolicy()
+	key, pol, err := cellKey(r.Opt, c)
 	if err != nil {
 		return nil, err
 	}
-	var mutate func(*pipeline.Config)
-	if ub {
-		mutate = func(cfg *pipeline.Config) { core.ApplyUpperBound(cfg) }
-	}
-	return r.RunOneCtx(ctx, c.Bench, pol, mutate)
+	return r.simulate(ctx, key, pol, false)
 }

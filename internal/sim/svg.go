@@ -57,71 +57,23 @@ func (t *ViolinTable) BoxChart() *plot.BoxChart {
 // RenderSVG runs one experiment and writes it as an SVG figure. The text
 // tables (tab1, tab2) have no graphical form and are rejected.
 func (r *Runner) RenderSVG(id string, w io.Writer) error {
-	switch strings.ToLower(id) {
-	case "fig14":
-		t, err := r.Fig14()
-		if err != nil {
-			return err
-		}
-		return t.BoxChart().WriteSVG(w)
-	case "fig15":
-		t, err := r.Fig15()
-		if err != nil {
-			return err
-		}
-		return t.BoxChart().WriteSVG(w)
-	case "tab1", "tab2":
-		return fmt.Errorf("sim: %s is a text table with no SVG form", id)
+	e, err := experimentByID(id)
+	if err != nil {
+		return err
 	}
-	t, err := r.tableFor(id)
+	switch {
+	case e.text != nil:
+		return fmt.Errorf("sim: %s is a text table with no SVG form", id)
+	case e.violin != nil:
+		t, err := r.Violin(id)
+		if err != nil {
+			return err
+		}
+		return t.BoxChart().WriteSVG(w)
+	}
+	t, err := r.Table(id)
 	if err != nil {
 		return err
 	}
 	return t.BarChart().WriteSVG(w)
-}
-
-// tableFor dispatches the bar-chart experiments by ID.
-func (r *Runner) tableFor(id string) (*Table, error) {
-	switch strings.ToLower(id) {
-	case "fig1":
-		return r.Fig1()
-	case "fig2":
-		return r.Fig2()
-	case "fig11":
-		return r.Fig11()
-	case "fig12":
-		return r.Fig12()
-	case "fig13":
-		return r.Fig13()
-	case "fig16":
-		return r.Fig16()
-	case "fig17":
-		return r.Fig17()
-	case "fig18":
-		return r.Fig18()
-	case "abl-tileorder":
-		return r.AblTileOrder()
-	case "abl-warps":
-		return r.AblWarpSlots()
-	case "abl-l1size":
-		return r.AblL1Size()
-	case "abl-fifo":
-		return r.AblFIFODepth()
-	case "abl-tilesize":
-		return r.AblTileSize()
-	case "abl-latez":
-		return r.AblLateZ()
-	case "abl-prefetch":
-		return r.AblPrefetch()
-	case "abl-nuca":
-		return r.AblNUCA()
-	case "abl-warpsched":
-		return r.AblWarpSched()
-	case "bg-imr":
-		return r.BgIMR()
-	case "stalls":
-		return r.Stalls()
-	default:
-		return nil, fmt.Errorf("sim: unknown experiment %q", id)
-	}
 }
