@@ -342,8 +342,8 @@ func benchFrame(b *testing.B, policy string) {
 // BenchmarkSuiteSweep is the end-to-end evaluation benchmark: one
 // iteration warms every simulation the paper's figures need and then
 // renders all experiments, exactly the shape of `dtexlbench -exp all`.
-// This is the number the memoization layers (scene store, prepared
-// frames, config-keyed run memo) are judged by; it reports the phase
+// This is the number the memoization layers (scenes, prepared frames,
+// config-keyed run memo) are judged by; it reports the phase
 // split and the memo hit rate alongside wall time.
 func BenchmarkSuiteSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {

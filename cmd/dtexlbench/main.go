@@ -10,7 +10,7 @@
 //	dtexlbench -exp fig17 -benchmarks TRu,GTr -v
 //	dtexlbench -exp abl-nuca -csv         # ablation, CSV output
 //	dtexlbench -exp fig16 -svg plots/     # also emit an SVG figure
-//	dtexlbench -exp all -checkpoint ckpt/ # crash-safe: resumes on restart
+//	dtexlbench -exp all -store ckpt/      # crash-safe: resumes on restart
 //	dtexlbench -exp all -keep-going       # render NA cells, don't abort
 //	dtexlbench -exp all -timeout 30m -cell-timeout 5m -keep-going
 //	                                      # bounded run: hung cells go NA,
@@ -67,7 +67,7 @@ func run() int {
 		keepGo   = flag.Bool("keep-going", false, "on a failed simulation, mark its cells NA and continue (exit 2 on partial results)")
 		timeout  = flag.Duration("timeout", 0, "whole-run wall-clock budget (0 = none); on expiry in-flight cells are cancelled, e.g. 30m")
 		cellTO   = flag.Duration("cell-timeout", 0, "per-simulation wall-clock budget (0 = none); with -keep-going a hung cell renders NA instead of aborting the run, e.g. 5m")
-		ckptDir  = flag.String("checkpoint", "", "journal completed simulations under this directory and resume from it on restart")
+		storeDir = flag.String("store", "", "record completed simulations in this result store directory and serve them from it on a rerun")
 		chaosStr = flag.String("chaos", "", "fault injection spec bench/policy/mode (mode: panic, error, stall; testing only)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to this file")
@@ -148,8 +148,8 @@ func run() int {
 		opt.Benchmarks = strings.Split(*benches, ",")
 	}
 
-	// SIGINT/SIGTERM cancel in-flight simulations; with -checkpoint the
-	// journal already holds every completed cell, so a rerun resumes.
+	// SIGINT/SIGTERM cancel in-flight simulations; with -store the store
+	// already holds every completed cell, so a rerun resumes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// -timeout bounds the whole run under the same cancellation path as a
@@ -178,16 +178,15 @@ func run() int {
 		r.Chaos = chaos
 		fmt.Fprintln(os.Stderr, "dtexlbench: fault injection active:", *chaosStr)
 	}
-	if *ckptDir != "" {
-		j, err := sim.OpenJournal(*ckptDir)
+	if *storeDir != "" {
+		st, err := sim.OpenStore(*storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dtexlbench:", err)
 			return exitFatal
 		}
-		defer j.Close()
-		r.Journal = j
-		if n := j.Replayed(); n > 0 {
-			fmt.Fprintf(os.Stderr, "dtexlbench: resumed %d completed simulation(s) from %s\n", n, *ckptDir)
+		r.Store = st
+		if n, _ := st.Len(); n > 0 {
+			fmt.Fprintf(os.Stderr, "dtexlbench: store %s holds %d result(s)\n", *storeDir, n)
 		}
 	}
 
@@ -246,10 +245,10 @@ func fatal(err error) int {
 		fmt.Fprintln(os.Stderr, se.Dump())
 	}
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "dtexlbench: interrupted; rerun with the same -checkpoint dir to resume")
+		fmt.Fprintln(os.Stderr, "dtexlbench: interrupted; rerun with the same -store dir to resume")
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "dtexlbench: -timeout budget exhausted; rerun with the same -checkpoint dir to resume")
+		fmt.Fprintln(os.Stderr, "dtexlbench: -timeout budget exhausted; rerun with the same -store dir to resume")
 	}
 	return exitFatal
 }

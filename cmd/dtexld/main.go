@@ -4,18 +4,19 @@
 // shedding for requests that opt in, request coalescing (concurrent
 // identical requests join one in-flight simulation that survives any
 // single client's cancellation — see DESIGN.md §11), and SIGTERM
-// draining that journals completed cells so a restarted server answers
-// them from memo.
+// draining. With -store every completed cell is recorded as it
+// finishes, so a restarted server over the same directory answers it
+// from the store.
 //
 // With -coord it instead runs as a fleet worker (DESIGN.md §12): it
 // registers with a dtexlcoord coordinator, heartbeats, pulls leased
 // suite cells, computes them through the full memo stack (L1 memo →
-// journal → shared store), and reports checksummed results. The HTTP
+// shared store → compute), and reports checksummed results. The HTTP
 // server still runs for health probes; /workerz reports worker state.
 //
 // Usage:
 //
-//	dtexld -addr :8095 -scale 4 -checkpoint ckpt/
+//	dtexld -addr :8095 -scale 4 -store ckpt/
 //	curl -XPOST localhost:8095/v1/simulate \
 //	     -d '{"benchmark":"TRu","policy":"DTexL","degradable":true}'
 //	curl localhost:8095/v1/experiments/fig16
@@ -75,8 +76,7 @@ func run() int {
 		queue    = flag.Int("queue", 0, "bounded waiting room beyond the slots (0 = 2x concurrency)")
 		cellBudg = flag.Duration("cell-timeout", 2*time.Minute, "per-simulation wall-clock budget; also the Retry-After unit")
 		grace    = flag.Duration("grace", 30*time.Second, "drain budget after SIGTERM before in-flight executors are aborted")
-		ckptDir  = flag.String("checkpoint", "", "journal completed cells under this directory; a restarted server serves them from memo")
-		storeDir = flag.String("store", "", "shared content-addressed result store directory (L2 behind the journal)")
+		storeDir = flag.String("store", "", "content-addressed result store directory: completed cells are recorded there, and a restarted server or any process sharing it serves them without recompute")
 		chaosStr = flag.String("chaos", "", "fault injection spec bench/policy/mode (mode: panic, error, stall, crash; testing only)")
 		verbose  = flag.Bool("v", false, "log per-event lines")
 
@@ -126,16 +126,6 @@ func run() int {
 		cfg.Chaos = chaos
 		log.Printf("dtexld: fault injection active: %s", *chaosStr)
 	}
-	if *ckptDir != "" {
-		j, err := sim.OpenJournal(*ckptDir)
-		if err != nil {
-			log.Printf("dtexld: %v", err)
-			return 1
-		}
-		defer j.Close()
-		cfg.Journal = j
-		log.Printf("dtexld: journal open under %s, %d cell(s) replayed", *ckptDir, j.Replayed())
-	}
 	if *storeDir != "" {
 		st, err := sim.OpenStore(*storeDir)
 		if err != nil {
@@ -145,7 +135,7 @@ func run() int {
 		st.Logf = func(format string, args ...any) { log.Printf(format, args...) }
 		cfg.Store = st
 		n, _ := st.Len()
-		log.Printf("dtexld: shared store open under %s, %d entry(ies)", *storeDir, n)
+		log.Printf("dtexld: store open under %s, %d entry(ies)", *storeDir, n)
 	}
 
 	if *coord != "" || *coords != "" {
@@ -186,8 +176,8 @@ func run() int {
 	}
 
 	// Drain: readiness off, new work rejected, in-flight finishes within
-	// the grace budget. Completed cells are already fsync'd in the
-	// journal, so even an aborted drain loses nothing that finished.
+	// the grace budget. With -store, completed cells are already fsync'd
+	// there, so even an aborted drain loses nothing that finished.
 	s.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
@@ -217,7 +207,7 @@ func run() int {
 // health probes (/healthz, /readyz, /workerz) while the fleet loop
 // pulls and computes leased cells. The runner the worker builds from
 // the coordinator's suite options layers the same memo stack as the
-// serving path: L1 memo → journal → shared store → compute.
+// serving path: L1 memo → shared store → compute.
 func runWorker(cfg serve.Config, tlsCfg *tls.Config, client *http.Client, addr, coord string, coords []string, name string, partAfter int, partFor time.Duration) int {
 	if name == "" {
 		host, _ := os.Hostname()
@@ -230,7 +220,6 @@ func runWorker(cfg serve.Config, tlsCfg *tls.Config, client *http.Client, addr, 
 		Name:         name,
 		NewRunner: func(opt sim.Options) *sim.Runner {
 			r := sim.NewRunner(opt)
-			r.Journal = cfg.Journal
 			r.Store = cfg.Store
 			r.Chaos = cfg.Chaos
 			r.RunTimeout = cfg.CellBudget

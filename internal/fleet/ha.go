@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"dtexl/internal/sim"
 )
 
 // ErrHalted is returned by Run after Halt: the node stopped abruptly,
@@ -58,7 +60,7 @@ func writeEpochLease(dir string, l epochLease) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(epochLeasePath(dir), b)
+	return sim.WriteFileAtomic(epochLeasePath(dir), b)
 }
 
 // claimEpoch decides epoch ownership races: creating the claim file for

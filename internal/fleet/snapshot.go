@@ -188,7 +188,7 @@ func AppendSnapshot(dir string, s *SnapshotState) error {
 	line := sim.ResultSum(b) + "\t" + string(b) + "\n"
 	path := filepath.Join(dir, SnapshotLogName)
 	if fi, err := os.Stat(path); err == nil && fi.Size()+int64(len(line)) > snaplogCompactAt {
-		return writeFileAtomic(path, []byte(line))
+		return sim.WriteFileAtomic(path, []byte(line))
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -237,30 +237,4 @@ func LoadSnapshot(dir string) (*SnapshotState, error) {
 		return latest, fmt.Errorf("fleet: snapshot log read: %w", err)
 	}
 	return latest, nil
-}
-
-// writeFileAtomic writes data under path via temp file + fsync + rename,
-// mirroring the store's torn-write discipline.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("fleet: atomic write: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: atomic write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: atomic fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: atomic close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fleet: atomic rename: %w", err)
-	}
-	return nil
 }

@@ -27,8 +27,8 @@ type WorkerConfig struct {
 	// Name labels the worker in coordinator stats and logs.
 	Name string
 	// NewRunner builds the simulation runner once registration delivers
-	// the suite options. Defaults to sim.NewRunner; callers layer in
-	// journal, shared store, chaos or a cell timeout here.
+	// the suite options. Defaults to sim.NewRunner; callers layer in a
+	// shared store, chaos or a cell timeout here.
 	NewRunner func(opt sim.Options) *sim.Runner
 	// Client is the HTTP client; default has a 5-minute timeout (cells
 	// are compute-heavy and the complete POST carries the result).

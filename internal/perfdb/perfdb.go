@@ -15,8 +15,8 @@
 // Commit order is first-appearance order in the log: the ingest
 // pipeline appends runs in CI order, which is commit order. Nothing is
 // ever rewritten, so a torn tail from a crash mid-append loses at most
-// the final batch (replay stops at the first unparsable line, exactly
-// like sim.Journal).
+// the final batch. Replay skips an unparsable line and keeps reading:
+// Open newline-terminates a torn tail, so later appends follow it.
 package perfdb
 
 import (

@@ -5,7 +5,8 @@
 // instead of availability, concurrent identical requests coalesce into
 // one in-flight run that survives any single client's cancellation
 // (coalesce.go, DESIGN.md §11), and SIGTERM drains in-flight work
-// against the checkpoint journal. See DESIGN.md, "Serving & overload".
+// while the result store keeps every finished cell. See DESIGN.md,
+// "Serving & overload".
 package serve
 
 import (

@@ -15,17 +15,18 @@ import (
 
 // TestDrainUnderLoadLosesNothing is the drain acceptance test: with
 // requests in flight, BeginDrain must let them finish (no killed work,
-// no lost journal entries) while rejecting new arrivals; a restarted
-// server over the same journal then answers the drained cells from the
-// checkpoint without recomputing.
+// no lost store entries) while rejecting new arrivals; a restarted
+// server over the same store then answers the drained cells from it
+// without recomputing.
 func TestDrainUnderLoadLosesNothing(t *testing.T) {
 	dir := t.TempDir()
-	j, err := sim.OpenJournal(dir)
+	store, err := sim.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.Logf = t.Logf
 	cfg := testConfig()
-	cfg.Journal = j
+	cfg.Store = store
 	s, ts := newTestServer(t, cfg)
 
 	// Two distinct cells fill the lane exactly (1 slot + 1 queued).
@@ -51,7 +52,7 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 
 	// Drain as soon as the load is visibly in flight. (If both cells
 	// finish before we observe them the drain is trivially clean; the
-	// journal assertions below still hold.)
+	// store assertions below still hold.)
 	for i := 0; s.InFlightRequests() < int64(len(cells)) && i < 2000; i++ {
 		time.Sleep(time.Millisecond)
 	}
@@ -78,26 +79,23 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 	if err := s.AwaitIdle(ctx); err != nil {
 		t.Fatalf("drain did not go idle: %v", err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Zero lost journal entries: every completed cell replays.
-	j2, err := sim.OpenJournal(dir)
+	// Zero lost store entries: every completed cell is on disk.
+	store2, err := sim.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if got := j2.Replayed(); got != len(cells) {
-		t.Fatalf("journal replayed %d cells after drain, want %d", got, len(cells))
+	store2.Logf = t.Logf
+	if n, err := store2.Len(); err != nil || n != len(cells) {
+		t.Fatalf("store holds %d entries after drain (%v), want %d", n, err, len(cells))
 	}
 
-	// A restarted server over the journal serves the drained cells from
-	// the checkpoint — same bytes, no recomputation.
+	// A restarted server over the store serves the drained cells from it
+	// — same bytes, no recomputation.
 	cfg2 := testConfig()
-	cfg2.Journal = j2
+	cfg2.Store = store2
 	_, ts2 := newTestServer(t, cfg2)
-	hitsBefore := j2.Hits()
+	hitsBefore := store2.Stats().Hits
 	for _, req := range cells {
 		st, res, _, _ := post(t, ts2.URL, req)
 		if st != http.StatusOK {
@@ -109,20 +107,20 @@ func TestDrainUnderLoadLosesNothing(t *testing.T) {
 			t.Errorf("%s/%s: restarted metrics differ from pre-drain run:\n got %s\nwant %s", req.Benchmark, req.Policy, got, want)
 		}
 	}
-	if j2.Hits() <= hitsBefore {
-		t.Errorf("journal hits did not increase (%d → %d): restarted server recomputed instead of serving the checkpoint", hitsBefore, j2.Hits())
+	if hits := store2.Stats().Hits; hits != hitsBefore+uint64(len(cells)) {
+		t.Errorf("store hits %d → %d, want +%d: restarted server recomputed instead of serving the store", hitsBefore, hits, len(cells))
 	}
 
-	// /readyz reports the journal picture for operators.
+	// /readyz reports the store picture for operators.
 	hres, err := http.Get(ts2.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st ReadyState
-	json.NewDecoder(hres.Body).Decode(&st)
+	var rs ReadyState
+	json.NewDecoder(hres.Body).Decode(&rs)
 	hres.Body.Close()
-	if st.JournalReplayed != len(cells) || st.JournalHits == 0 {
-		t.Errorf("/readyz journal stats = %+v, want replayed=%d hits>0", st, len(cells))
+	if rs.Store == nil || rs.Store.Hits == 0 {
+		t.Errorf("/readyz store stats = %+v, want hits > 0", rs.Store)
 	}
 }
 

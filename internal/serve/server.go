@@ -43,21 +43,11 @@ type Config struct {
 	// CellBudget bounds each simulation cell's wall time; it is also the
 	// unit of the Retry-After estimate. Default 2m.
 	CellBudget time.Duration
-	// MaxFrames caps the per-request frames parameter. Default 4.
-	MaxFrames int
-	// PrepBudget bounds the bytes each runner retains for prepared
-	// frames (0 = 512 MiB — the serving default is far below the batch
-	// CLI's, since the service is long-lived).
-	PrepBudget int64
-	// Journal, when non-nil, checkpoints every completed cell and serves
-	// journaled cells on restart. Shared by every runner in the pool
-	// (keys embed the effective machine config, so scales never
-	// collide).
-	Journal *sim.Journal
-	// Store, when non-nil, is the fleet's shared result store, layered
-	// under the journal as L2: cells completed by any process sharing the
-	// directory are served without recompute, and cells computed here
-	// become visible to the fleet.
+	// Store, when non-nil, is the result store under every runner's
+	// memo (L2): cells completed before a restart, or by any process
+	// sharing the directory, are served without recompute, and cells
+	// computed here are recorded as they finish. Keys embed the
+	// effective machine config, so the pool's scales never collide.
 	Store *sim.Store
 	// FleetStatus, when non-nil, is polled by GET /workerz and folded
 	// into /readyz — the fleet-worker view of this process (registration,
@@ -91,17 +81,20 @@ func (c Config) withDefaults() Config {
 	if c.CellBudget <= 0 {
 		c.CellBudget = 2 * time.Minute
 	}
-	if c.MaxFrames < 1 {
-		c.MaxFrames = 4
-	}
-	if c.PrepBudget == 0 {
-		c.PrepBudget = 512 << 20
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
+
+const (
+	// maxFrames caps the per-request frames parameter.
+	maxFrames = 4
+	// prepBudget bounds the bytes each runner retains for prepared
+	// frames — far below the batch CLI's default, since the service is
+	// long-lived.
+	prepBudget = 512 << 20
+)
 
 // runnerKey identifies one pooled Runner: the service keeps one memo
 // stack per (scale, frames) machine so repeated requests are served
@@ -156,7 +149,7 @@ func New(cfg Config) *Server {
 }
 
 // runner returns the pooled Runner for (scale, frames), creating it on
-// first use. Every runner shares the server's base context, journal and
+// first use. Every runner shares the server's base context, store and
 // chaos config; memo stacks are per-runner (keys differ by resolution).
 func (s *Server) runner(scale, frames int) *sim.Runner {
 	key := runnerKey{scale: scale, frames: frames}
@@ -175,8 +168,7 @@ func (s *Server) runner(scale, frames int) *sim.Runner {
 	// instead of fanning its rows out inside a single slot.
 	r.Parallelism = 1
 	r.RunTimeout = s.cfg.CellBudget
-	r.PrepBudget = s.cfg.PrepBudget
-	r.Journal = s.cfg.Journal
+	r.PrepBudget = prepBudget
 	r.Store = s.cfg.Store
 	r.Chaos = s.cfg.Chaos
 	s.runners[key] = r
@@ -273,25 +265,24 @@ func (s *Server) handleWorkerz(w http.ResponseWriter, _ *http.Request) {
 // executed — M concurrent identical requests should move SimsComputed
 // by exactly 1 (the dtexlload -identical check).
 type ReadyState struct {
-	Status          string `json:"status"` // "ok" or "draining"
-	InFlight        int64  `json:"in_flight"`
-	Served          int64  `json:"served"`
-	Coalesced       int64  `json:"coalesced"`
-	FlightsStarted  int64  `json:"flights_started"`
-	SimsComputed    uint64 `json:"sims_computed"`
-	JournalReplayed int    `json:"journal_replayed"`
-	JournalHits     uint64 `json:"journal_hits"`
-	Full            Stats  `json:"full"`
-	Degraded        Stats  `json:"degraded"`
-	// Store is the shared result store's counters when one is attached.
+	Status         string `json:"status"` // "ok" or "draining"
+	InFlight       int64  `json:"in_flight"`
+	Served         int64  `json:"served"`
+	Coalesced      int64  `json:"coalesced"`
+	FlightsStarted int64  `json:"flights_started"`
+	SimsComputed   uint64 `json:"sims_computed"`
+	Full           Stats  `json:"full"`
+	Degraded       Stats  `json:"degraded"`
+	// Store is the result store's counters when one is attached: hits,
+	// misses, corrupt drops and repairs.
 	Store *sim.StoreStats `json:"store,omitempty"`
 	// Fleet is the fleet-worker status when this process is one.
 	Fleet any `json:"fleet,omitempty"`
 }
 
 // simsComputed sums the raster-phase memo misses across the runner
-// pool: the number of simulations that actually executed (journal
-// replays and memo hits excluded).
+// pool: the number of simulations that actually executed (store and
+// memo hits excluded).
 func (s *Server) simsComputed() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,10 +303,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		SimsComputed:   s.simsComputed(),
 		Full:           s.full.statsSnapshot(),
 		Degraded:       s.degraded.statsSnapshot(),
-	}
-	if s.cfg.Journal != nil {
-		st.JournalReplayed = s.cfg.Journal.Replayed()
-		st.JournalHits = s.cfg.Journal.Hits()
 	}
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
@@ -450,8 +437,8 @@ func (s *Server) validate(sr *SimRequest) (core.Policy, error) {
 	if sr.Frames == 0 {
 		sr.Frames = 1
 	}
-	if sr.Frames < 1 || sr.Frames > s.cfg.MaxFrames {
-		return core.Policy{}, fmt.Errorf("frames %d out of range [1,%d]", sr.Frames, s.cfg.MaxFrames)
+	if sr.Frames < 1 || sr.Frames > maxFrames {
+		return core.Policy{}, fmt.Errorf("frames %d out of range [1,%d]", sr.Frames, maxFrames)
 	}
 	return pol, nil
 }
@@ -583,9 +570,10 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 // BeginDrain flips the server unready: /readyz turns 503 and new API
 // requests are rejected with kind "draining". In-flight requests keep
 // their slots; call AwaitIdle (or http.Server.Shutdown) to wait for
-// them, then Abort if the grace budget expires. Completed cells are
-// already journaled (the journal fsyncs at completion), so a drained —
-// or even aborted — server loses nothing that finished.
+// them, then Abort if the grace budget expires. With a Store, completed
+// cells are already recorded (each entry is fsync'd as its cell
+// finishes), so a drained — or even aborted — server loses nothing that
+// finished.
 func (s *Server) BeginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.cfg.Logf("serve: draining: readiness off, rejecting new work")

@@ -45,7 +45,7 @@ func (m ChaosMode) String() string {
 // ChaosConfig injects one fault into every simulation of the matching
 // (benchmark, policy) cell. It exists for fault injection only — tests
 // and CI use it to prove the isolation, degradation (-keep-going) and
-// checkpoint/resume paths work; it is never set in normal operation.
+// store resume paths work; it is never set in normal operation.
 //
 // Caveat: simulations are memoized on the *effective* machine
 // configuration, not the policy label, so targeting a policy whose

@@ -133,7 +133,7 @@ func (t *ViolinTable) Render(w io.Writer) {
 // correctness"):
 //
 //  1. scenes: one generated animation per (benchmark, resolution, seed,
-//     frames), shared by every policy (trace.SceneStore);
+//     frames), shared by every policy;
 //  2. preps: one policy-independent front half — geometry, binning,
 //     front-end cache snapshot, raster coverage — per (benchmark,
 //     pipeline.FrontKey), shared across policies, SC counts and L1
@@ -142,8 +142,9 @@ func (t *ViolinTable) Render(w io.Writer) {
 //     differently-named policies that resolve to the same machine
 //     configuration (e.g. DTexL and HLB-flp2) run once.
 //
-// All three layers are single-flight and safe for concurrent use from
-// the Runner's worker pool (fanOut).
+// All three layers are the one single-flight memo, safe for concurrent
+// use from the Runner's worker pool (fanOut). Lookups fall through
+// memo → Store → compute.
 type Runner struct {
 	Opt Options
 	// Progress, if set, receives a line per completed simulation.
@@ -174,22 +175,19 @@ type Runner struct {
 	// other cell still renders. The failed configuration is cached so a
 	// cell shared by several figures fails once, not once per figure.
 	KeepGoing bool
-	// Journal, when non-nil, checkpoints every completed simulation and
-	// serves journaled results instead of recomputing them — the
-	// crash-safe resume path behind -checkpoint.
-	Journal *Journal
-	// Store, when non-nil, is the shared content-addressed result store
-	// (L2): lookups fall through L1 memo → Journal → Store → compute, and
-	// computed cells are recorded back so any process sharing the store —
-	// including a cold-started fleet worker — answers them without
-	// recomputing. Store entries are checksummed; a corrupt entry reads
-	// as a miss and the recompute repairs it.
+	// Store, when non-nil, is the content-addressed result store (L2):
+	// lookups fall through L1 memo → Store → compute, and computed cells
+	// are recorded back, so a restarted run resumes from its completed
+	// cells and any process sharing the directory — including a
+	// cold-started fleet worker — answers them without recomputing.
+	// Store entries are checksummed; a corrupt entry reads as a miss and
+	// the recompute repairs it.
 	Store *Store
 	// Chaos, when non-nil, injects a fault into the matching
 	// (benchmark, policy) cell. Fault-injection testing only.
 	Chaos *ChaosConfig
 
-	scenes *trace.SceneStore
+	scenes *memo[sceneKey, []*trace.Scene]
 	sims   *memo[simKey, *simResult]
 
 	prepOnce sync.Once
@@ -202,8 +200,8 @@ type Runner struct {
 	failedSims map[simKey]error
 
 	// completedSims counts unique successful simulations (atomic),
-	// including journal replays — the "partial results" side of the exit
-	// code contract.
+	// including store hits — the "partial results" side of the exit code
+	// contract.
 	completedSims uint64
 
 	// wall-clock split, in nanoseconds (atomic). prepareNanos is the whole
@@ -235,7 +233,7 @@ func (r *Runner) Failures() []CellFailure {
 }
 
 // CompletedRuns reports how many unique simulations completed
-// successfully (journal replays included). Together with Failures it
+// successfully (store hits included). Together with Failures it
 // drives the CLI's 0/1/2 exit-code contract: failures with completed
 // runs is "partial results" (2), failures without is "total failure"
 // (1).
@@ -270,7 +268,7 @@ func (r *Runner) baseCtx() context.Context {
 func NewRunner(opt Options) *Runner {
 	return &Runner{
 		Opt:    opt,
-		scenes: trace.NewSceneStore(),
+		scenes: newMemo[sceneKey, []*trace.Scene](),
 		sims:   newMemo[simKey, *simResult](),
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"dtexl/internal/pipeline"
 )
 
-// memo is a concurrency-safe, single-flight memo table. The first caller
-// of do for a key computes the value while concurrent callers for the
-// same key block on the flight instead of duplicating the work. A
-// computation that returns an error (or panics) removes its entry before
-// releasing its waiters, so the table never holds a partial result that
-// a later read would treat as complete — later calls simply retry.
+// memo is a concurrency-safe, single-flight memo table — the one in
+// this package and in internal/trace. The first caller of do for a key
+// computes the value while concurrent callers for the same key block on
+// the flight instead of duplicating the work. A computation that
+// returns an error (or panics) removes its entry before releasing its
+// waiters, so the table never holds a partial result that a later read
+// would treat as complete — later calls simply retry.
 //
 // Waits are cancellable: a waiter whose context ends returns its
 // context error immediately without disturbing the flight. Conversely,
@@ -96,7 +97,10 @@ func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (val V
 			}
 			if f.err != nil {
 				m.mu.Lock()
-				delete(m.flights, key)
+				// A forget may already have handed the key to a new flight.
+				if m.flights[key] == f {
+					delete(m.flights, key)
+				}
 				m.mu.Unlock()
 			}
 			close(f.done)
@@ -105,6 +109,14 @@ func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (val V
 		completed = true
 		return f.val, f.err
 	}
+}
+
+// forget drops key's entry, so the next call computes it afresh. A
+// flight still running finishes for the callers already waiting on it.
+func (m *memo[K, V]) forget(key K) {
+	m.mu.Lock()
+	delete(m.flights, key)
+	m.mu.Unlock()
 }
 
 // stats returns the hit/miss counters (hits include waits on a flight
@@ -131,32 +143,30 @@ type prepKey struct {
 // preparations are dropped and recomputed on next use.
 const defaultPrepBudget = 4 << 30
 
-// prepStore memoizes PreparedFrames with single-flight dedup (same
-// error-path and cancellable-wait contract as memo) plus an LRU byte
-// budget. A frame built for a planned cell (Warm) also leaves as soon
-// as no planned cell still needs it.
+// prepStore is the memo of PreparedFrames plus their residency: built
+// frames count against a byte budget, least recently used out first,
+// and a frame built for a planned cell (Warm) also leaves as soon as no
+// planned cell still needs it. A frame leaves by memo.forget, so the
+// next call for it rebuilds.
 type prepStore struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	held    int // completed frames
-	entries map[prepKey]*prepEntry
-	needs   map[prepKey]int // queued planned cells per frame
-	clock   uint64
-	hits    uint64
-	misses  uint64
-	// peakHeld and peakUsed are the most completed frames, and bytes,
+	frames *memo[prepKey, *pipeline.PreparedFrame]
+
+	mu       sync.Mutex
+	budget   int64
+	used     int64 // bytes of the resident frames
+	clock    uint64
+	lastUse  map[prepKey]uint64   // when the latest call for each frame started
+	resident map[prepKey]resident // built frames the memo still holds
+	needs    map[prepKey]int      // queued planned cells per frame
+	// peakHeld and peakUsed are the most resident frames, and bytes,
 	// held at once.
 	peakHeld int
 	peakUsed int64
 }
 
-type prepEntry struct {
-	done    chan struct{}
-	prep    *pipeline.PreparedFrame
-	err     error
-	size    int64 // 0 until completed
-	lastUse uint64
+// resident is one built frame's share of the budget.
+type resident struct {
+	size    int64
 	planned bool // built for a planned cell
 }
 
@@ -164,88 +174,60 @@ func newPrepStore(budget int64) *prepStore {
 	if budget == 0 {
 		budget = defaultPrepBudget
 	}
-	return &prepStore{budget: budget, entries: make(map[prepKey]*prepEntry), needs: make(map[prepKey]int)}
-}
-
-// do returns the memoized preparation for key, building it with fn on
-// first use (for a planned cell when planned is set) and evicting
-// least-recently-used preparations beyond the byte budget. Waits on
-// another caller's in-flight build respect ctx, with the same
-// cancelled-computer retry contract as memo.do.
-func (s *prepStore) do(ctx context.Context, key prepKey, planned bool, fn func() (*pipeline.PreparedFrame, error)) (prep *pipeline.PreparedFrame, err error) {
-	for {
-		s.mu.Lock()
-		s.clock++
-		if e, ok := s.entries[key]; ok {
-			e.lastUse = s.clock
-			s.hits++
-			s.mu.Unlock()
-			select {
-			case <-e.done:
-			default:
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			if e.err != nil && isCtxErr(e.err) && ctx.Err() == nil {
-				continue
-			}
-			return e.prep, e.err
-		}
-		e := &prepEntry{done: make(chan struct{}), lastUse: s.clock, planned: planned}
-		s.entries[key] = e
-		s.misses++
-		s.mu.Unlock()
-
-		completed := false
-		defer func() {
-			if !completed {
-				// Recover the panic so it cannot kill a pool worker; waiters
-				// and the computing caller all see the error.
-				e.err = fmt.Errorf("sim: frame preparation panicked: %v\n%s", recover(), debug.Stack())
-				prep, err = nil, e.err
-			}
-			s.mu.Lock()
-			if e.err != nil {
-				delete(s.entries, key)
-			} else {
-				e.size = e.prep.SizeBytes()
-				s.used += e.size
-				s.held++
-				s.peakHeld = max(s.peakHeld, s.held)
-				s.peakUsed = max(s.peakUsed, s.used)
-				s.evictLocked(key)
-			}
-			s.mu.Unlock()
-			close(e.done)
-		}()
-		e.prep, e.err = fn()
-		completed = true
-		return e.prep, e.err
+	return &prepStore{
+		frames:   newMemo[prepKey, *pipeline.PreparedFrame](),
+		budget:   budget,
+		lastUse:  make(map[prepKey]uint64),
+		resident: make(map[prepKey]resident),
+		needs:    make(map[prepKey]int),
 	}
 }
 
-// evictLocked drops completed entries, least recently used first, until
-// the budget is met. The entry under `keep` and in-flight entries are
-// never evicted. Callers hold s.mu.
+// do returns the memoized preparation for key, building it with fn on
+// first use (for a planned cell when planned is set). Each call stamps
+// the frame's recency when it starts; a completed build evicts
+// least-recently-used frames beyond the byte budget.
+func (s *prepStore) do(ctx context.Context, key prepKey, planned bool, fn func() (*pipeline.PreparedFrame, error)) (*pipeline.PreparedFrame, error) {
+	s.mu.Lock()
+	s.clock++
+	now := s.clock
+	s.lastUse[key] = now
+	s.mu.Unlock()
+	return s.frames.do(ctx, key, func() (*pipeline.PreparedFrame, error) {
+		p, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		size := p.SizeBytes()
+		s.resident[key] = resident{size: size, planned: planned}
+		// A drop since this call started may have removed its stamp.
+		s.lastUse[key] = max(s.lastUse[key], now)
+		s.used += size
+		s.peakHeld = max(s.peakHeld, len(s.resident))
+		s.peakUsed = max(s.peakUsed, s.used)
+		s.evictLocked(key)
+		return p, nil
+	})
+}
+
+// evictLocked drops resident frames, least recently used first, until
+// the budget is met. The frame under keep is never evicted. Callers
+// hold s.mu.
 func (s *prepStore) evictLocked(keep prepKey) {
 	for s.used > s.budget {
 		var victim prepKey
-		var ve *prepEntry
-		for k, e := range s.entries {
-			if k == keep || e.size == 0 {
-				continue
-			}
-			if ve == nil || e.lastUse < ve.lastUse {
-				victim, ve = k, e
+		found := false
+		for k := range s.resident {
+			if k != keep && (!found || s.lastUse[k] < s.lastUse[victim]) {
+				victim, found = k, true
 			}
 		}
-		if ve == nil {
+		if !found {
 			return
 		}
-		s.drop(victim, ve)
+		s.drop(victim)
 	}
 }
 
@@ -258,21 +240,23 @@ func (s *prepStore) need(key prepKey, n int) {
 		return
 	}
 	delete(s.needs, key)
-	if e, ok := s.entries[key]; ok && e.planned && e.size > 0 {
-		s.drop(key, e)
+	if r, ok := s.resident[key]; ok && r.planned {
+		s.drop(key)
 	}
 }
 
-// drop removes a completed entry. Callers hold s.mu.
-func (s *prepStore) drop(key prepKey, e *prepEntry) {
-	s.used -= e.size
-	s.held--
-	delete(s.entries, key)
+// drop forgets a resident frame. Callers hold s.mu.
+func (s *prepStore) drop(key prepKey) {
+	s.used -= s.resident[key].size
+	delete(s.resident, key)
+	delete(s.lastUse, key)
+	s.frames.forget(key)
 }
 
 // stats returns the hit/miss counters and the residency peaks.
 func (s *prepStore) stats() (hits, misses uint64, peakHeld int, peakUsed int64) {
+	hits, misses = s.frames.stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hits, s.misses, s.peakHeld, s.peakUsed
+	return hits, misses, s.peakHeld, s.peakUsed
 }

@@ -55,6 +55,22 @@ func TestMemoWaiterCancellable(t *testing.T) {
 	}
 }
 
+// TestMemoCompletedFlightIgnoresCtx: a key whose computation already
+// completed is served even under a cancelled context — the cancellable
+// select only guards the blocking wait, never a cache hit.
+func TestMemoCompletedFlightIgnoresCtx(t *testing.T) {
+	m := newMemo[int, int]()
+	if _, err := m.do(context.Background(), 1, func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	v, err := m.do(ctx, 1, func() (int, error) { return -1, nil })
+	if err != nil || v != 1 {
+		t.Fatalf("completed flight under cancelled ctx: got %d, %v; want 1, nil", v, err)
+	}
+}
+
 // TestMemoWaiterRetriesCancelledComputer: when the computing caller is
 // cancelled under its own context, a still-live waiter must not inherit
 // that foreign cancellation — the failed entry is gone, so the waiter

@@ -16,7 +16,7 @@ import (
 
 // TestSuiteCellKeysUnchanged pins a suite cell's wire form and store
 // key bytes to what they were before cells could carry overrides and
-// the IMR kind, so existing stores and journals still hit; the new
+// the IMR kind, so existing stores still hit; the new
 // fields must change both.
 func TestSuiteCellKeysUnchanged(t *testing.T) {
 	c := CellSpec{Bench: "TRu", Policy: "DTexL(HLB-flp2)"}
@@ -121,8 +121,10 @@ func TestWarmAllFramesLeaveWithTheirCells(t *testing.T) {
 	if tm.PeakPrepared < 1 || tm.PeakPrepared > r.Parallelism+1 || tm.PeakPreparedBytes <= 0 {
 		t.Errorf("peak %d frames (%d bytes) held at once, want 1..%d", tm.PeakPrepared, tm.PeakPreparedBytes, r.Parallelism+1)
 	}
-	if s := r.prepStoreLazy(); len(s.entries) != 0 || s.held != 0 || s.used != 0 || len(s.needs) != 0 {
-		t.Errorf("after WarmAll the store holds %d frames (%d bytes, %d counted), %d needs", len(s.entries), s.used, s.held, len(s.needs))
+	s := r.prepStoreLazy()
+	if len(s.frames.flights) != 0 || len(s.resident) != 0 || s.used != 0 || len(s.lastUse) != 0 || len(s.needs) != 0 {
+		t.Errorf("after WarmAll the memo holds %d frames, the residency index %d (%d bytes, %d stamps), %d needs",
+			len(s.frames.flights), len(s.resident), s.used, len(s.lastUse), len(s.needs))
 	}
 }
 
@@ -140,12 +142,13 @@ func TestPlanKeepsUnplannedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := r.prepStoreLazy()
-	if len(s.entries) != 1 {
-		t.Fatalf("store holds %d frames after the plan, want only the one prepared before it", len(s.entries))
+	if len(s.frames.flights) != 1 || len(s.resident) != 1 {
+		t.Fatalf("memo holds %d frames and the residency index %d after the plan, want only the one prepared before it",
+			len(s.frames.flights), len(s.resident))
 	}
-	for pk := range s.entries {
-		if pk.Alias != "TRu" {
-			t.Errorf("store kept %s's frame, want TRu's", pk.Alias)
+	for pk := range s.frames.flights {
+		if _, ok := s.resident[pk]; !ok || pk.Alias != "TRu" {
+			t.Errorf("store kept %s's frame (resident %v), want TRu's", pk.Alias, ok)
 		}
 	}
 	if tm := r.Timing(); tm.PrepMisses != 2 {
@@ -192,5 +195,55 @@ func TestIMRCellIsACell(t *testing.T) {
 	slow.RunTimeout = time.Nanosecond
 	if _, err := slow.RunCell(context.Background(), imr); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("IMR cell under a 1ns RunTimeout: %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestPrepStoreEvictsLeastRecentlyUsed: past PrepBudget the frame whose
+// latest call started longest ago leaves first — a frame read again is
+// recent again — and a frame that left is rebuilt on its next read.
+func TestPrepStoreEvictsLeastRecentlyUsed(t *testing.T) {
+	opt := ScaledOptions(16)
+	probe := NewRunner(opt)
+	for _, alias := range []string{"TRu", "CCS", "GTr"} {
+		if _, err := probe.RunOneWith(alias, core.Baseline(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var total int64
+	for _, fr := range probe.prepStoreLazy().resident {
+		total += fr.size
+	}
+
+	r := NewRunner(opt)
+	r.PrepBudget = total - 1 // the three frames do not fit; any two do
+	for _, c := range []struct {
+		alias string
+		pol   core.Policy
+	}{
+		{"TRu", core.Baseline()},
+		{"CCS", core.Baseline()},
+		{"TRu", core.DTexL()}, // reads TRu's frame again
+		{"GTr", core.Baseline()},
+	} {
+		if _, err := r.RunOneWith(c.alias, c.pol, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := r.prepStoreLazy()
+	held := map[string]bool{}
+	for pk := range s.resident {
+		held[pk.Alias] = true
+		if _, ok := s.frames.flights[pk]; !ok {
+			t.Errorf("%s is resident but not in the memo", pk.Alias)
+		}
+	}
+	if len(held) != 2 || !held["TRu"] || !held["GTr"] || len(s.frames.flights) != 2 {
+		t.Errorf("resident %v (%d in the memo), want TRu and GTr: CCS was least recently used", held, len(s.frames.flights))
+	}
+	if _, err := r.RunOneWith("CCS", core.DTexL(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if tm := r.Timing(); tm.PrepMisses != 4 || tm.PrepHits != 1 {
+		t.Errorf("preparations %d/%d hits/misses, want 1/4 (CCS rebuilt after its eviction)", tm.PrepHits, tm.PrepMisses)
 	}
 }

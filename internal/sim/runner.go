@@ -7,10 +7,12 @@
 // experiment declares its cells as data: RunExperiment warms that plan
 // (Warm), then renders by reading memoized results only.
 //
-// Runs are memoized at three layers (scene store, preparation store,
-// simulation memo), each single-flighted so concurrent workers never
+// Runs are memoized at three layers (scenes, prepared frames,
+// simulations), each a single-flight memo so concurrent workers never
 // duplicate a computation, and each cancellation-safe: a waiter whose
-// context ends detaches without poisoning the shared entry.
+// context ends detaches without poisoning the shared entry. Below the
+// simulation memo an optional content-addressed Store persists results
+// across processes and restarts.
 // Runner.Parallelism bounds the one worker pool Warm runs whole
 // simulations on; each simulation is itself serial and deterministic,
 // and failures and errors come back in plan order, so output does not
@@ -131,7 +133,7 @@ type simResult struct {
 // configuration mutation applied after the policy, memoizing the result
 // on the effective configuration. It is the Runner-level counterpart of
 // the package function RunOneWith and produces bit-identical results:
-// the scene comes from the shared scene store, and single-frame runs
+// the scene comes from the scene memo, and single-frame runs
 // reuse the memoized policy-independent front half (pipeline.
 // PreparedFrame) of any earlier run with the same front configuration.
 //
@@ -160,8 +162,8 @@ func (r *Runner) RunOneCtx(reqCtx context.Context, alias string, pol core.Policy
 }
 
 // simulate returns the memoized result of key, run under pol's label:
-// from the memo, the journal, the store, or a fresh run. planned marks
-// a cell Warm queued (see prepStore.need).
+// from the memo, the store, or a fresh run. planned marks a cell Warm
+// queued (see prepStore.need).
 func (r *Runner) simulate(reqCtx context.Context, key simKey, pol core.Policy, planned bool) (*RunResult, error) {
 	alias := key.Alias
 	prof, err := trace.ProfileByAlias(alias)
@@ -181,18 +183,9 @@ func (r *Runner) simulate(reqCtx context.Context, key simKey, pol core.Policy, p
 		}
 	}
 	res, err := r.sims.do(reqCtx, key, func() (*simResult, error) {
-		if r.Journal != nil {
-			if sr, ok := r.Journal.lookup(key); ok {
-				atomic.AddUint64(&r.completedSims, 1)
-				if r.Progress != nil {
-					r.Progress(fmt.Sprintf("%-4s %-18s resumed from checkpoint", alias, pol.Name))
-				}
-				return sr, nil
-			}
-		}
 		if r.Store != nil {
-			// L2: the shared result store. Checksummed, so a corrupt entry
-			// reads as a miss and the compute below repairs it.
+			// L2: the result store. Checksummed, so a corrupt entry reads
+			// as a miss and the compute below repairs it.
 			if sr, ok := r.Store.lookup(key); ok {
 				atomic.AddUint64(&r.completedSims, 1)
 				if r.Progress != nil {
@@ -221,16 +214,14 @@ func (r *Runner) simulate(reqCtx context.Context, key simKey, pol core.Policy, p
 				ctx = pipeline.WithChaosStall(ctx)
 			case ChaosCrash:
 				// Die mid-cell the way SIGKILL would: no deferred cleanup, no
-				// journal/store record for the in-flight cell. The fleet chaos
+				// store record for the in-flight cell. The fleet chaos
 				// harness uses this to prove lease reassignment recovers the
 				// cell on another worker.
 				fmt.Fprintf(os.Stderr, "sim: injected chaos crash for %s/%s\n", alias, pol.Name)
 				os.Exit(137)
 			}
 		}
-		t0 := time.Now()
-		scenes, err := r.scenes.AnimationContext(ctx, prof, key.Cfg.Width, key.Cfg.Height, key.Seed, key.Frames)
-		atomic.AddInt64(&r.generateNanos, int64(time.Since(t0)))
+		scenes, err := r.animation(ctx, prof, key.Cfg.Width, key.Cfg.Height, key.Seed, key.Frames)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s/%s: %w", alias, pol.Name, err)
 		}
@@ -239,16 +230,9 @@ func (r *Runner) simulate(reqCtx context.Context, key simKey, pol core.Policy, p
 			return nil, fmt.Errorf("sim: %s/%s: %w", alias, pol.Name, err)
 		}
 		sr := &simResult{Metrics: m, Energy: energy.DefaultModel().Estimate(m.Events)}
-		if r.Journal != nil {
-			// Best-effort: a failed append only costs a deterministic
-			// recompute on resume, so warn and continue.
-			if jerr := r.Journal.record(key, sr); jerr != nil && r.Progress != nil {
-				r.Progress(fmt.Sprintf("warning: %v", jerr))
-			}
-		}
 		if r.Store != nil {
-			// Equally best-effort: a missed store record costs another
-			// worker a recompute, never correctness.
+			// Best-effort: a missed store record costs a resumed run or
+			// another worker a recompute, never correctness.
 			if serr := r.Store.record(key, sr); serr != nil && r.Progress != nil {
 				r.Progress(fmt.Sprintf("warning: %v", serr))
 			}
@@ -312,7 +296,26 @@ func (r *Runner) compute(ctx context.Context, key simKey, scenes []*trace.Scene,
 	return pipeline.RunPreparedContext(ctx, prep, key.Cfg)
 }
 
-// scene returns the benchmark's frame-0 scene from the shared store
+// sceneKey identifies one generated animation: generation is a pure
+// function of these values, so equal keys mean identical scenes.
+type sceneKey struct {
+	Alias         string
+	Width, Height int
+	Seed          uint64
+	Frames        int
+}
+
+// animation returns p's memoized animation, generating it on first use.
+// Scenes are read-only, so every policy shares one slice.
+func (r *Runner) animation(ctx context.Context, p trace.Profile, width, height int, seed uint64, frames int) ([]*trace.Scene, error) {
+	t0 := time.Now()
+	defer func() { atomic.AddInt64(&r.generateNanos, int64(time.Since(t0))) }()
+	return r.scenes.do(ctx, sceneKey{p.Alias, width, height, seed, frames}, func() ([]*trace.Scene, error) {
+		return trace.GenerateAnimation(p, width, height, seed, frames), nil
+	})
+}
+
+// scene returns the benchmark's frame-0 scene from the scene memo
 // (generating the animation on first use), for Table 1, which needs the
 // scene itself rather than a simulation.
 func (r *Runner) scene(alias string) (*trace.Scene, error) {
@@ -320,13 +323,7 @@ func (r *Runner) scene(alias string) (*trace.Scene, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames := r.Opt.Frames
-	if frames < 1 {
-		frames = 1
-	}
-	t0 := time.Now()
-	scenes, err := r.scenes.Animation(prof, r.Opt.Width, r.Opt.Height, r.Opt.Seed, frames)
-	atomic.AddInt64(&r.generateNanos, int64(time.Since(t0)))
+	scenes, err := r.animation(context.Background(), prof, r.Opt.Width, r.Opt.Height, r.Opt.Seed, max(r.Opt.Frames, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +368,7 @@ func (r *Runner) Timing() Timing {
 		Coverage: time.Duration(atomic.LoadInt64(&r.coverageNanos)),
 		Raster:   time.Duration(atomic.LoadInt64(&r.rasterNanos)),
 	}
-	t.SceneHits, t.SceneMisses = r.scenes.Stats()
+	t.SceneHits, t.SceneMisses = r.scenes.stats()
 	t.SimHits, t.SimMisses = r.sims.stats()
 	t.PrepHits, t.PrepMisses, t.PeakPrepared, t.PeakPreparedBytes = r.prepStoreLazy().stats()
 	return t

@@ -16,27 +16,30 @@ import (
 	"time"
 )
 
-// Store is the content-addressed shared result store — the multi-process
-// generalization of the per-process checkpoint Journal. Each completed
-// simulation is one file under the store directory, named by the SHA-256
-// of its canonical simKey bytes (the effective machine configuration plus
-// workload identity, exactly the in-memory memo key), holding the
-// label-independent result JSON guarded by a CRC-64 checksum.
+// Store is the content-addressed result store: the one place completed
+// simulations persist, for a resumed run (dtexlbench -store), a
+// restarted server (dtexld -store) and a fleet sharing the directory.
+// Each completed simulation is one file under the store directory,
+// named by the SHA-256 of its canonical simKey bytes (the effective
+// machine configuration plus workload identity, exactly the in-memory
+// memo key), holding the label-independent result JSON guarded by a
+// CRC-64 checksum.
 //
 // The store is safe for concurrent use by many processes sharing the
-// directory: writes go to a temp file, fsync, then rename, so readers
-// never observe a torn entry, and two workers recording the same cell
-// write byte-identical content in either order. Reads verify both the
-// checksum and the stored key bytes; a corrupt entry (bit rot, torn
-// write, injected fault) is dropped and reported as a miss, so the cell
-// is recomputed — and the recompute's record repairs the entry in place.
-// Results round-trip bit-identically through JSON (the same property the
-// Journal relies on), so a cell served from the store renders byte-for-
-// byte the same output as a cell computed live.
+// directory: writes go through WriteFileAtomic, so readers never
+// observe a torn entry, and two workers recording the same cell write
+// byte-identical content in either order. A process killed mid-write
+// leaves at most a ".tmp-" file, which Len and lookups ignore and GC
+// reaps. Reads verify both the checksum and the stored key bytes; a
+// corrupt entry (bit rot, truncation, injected fault) is dropped and
+// reported as a miss, so the cell is recomputed — and the recompute's
+// record repairs the entry in place. Results round-trip bit-identically
+// through JSON (Go's float64 encoding is exact), so a cell served from
+// the store renders byte-for-byte the same output as a cell computed
+// live.
 //
-// In the fleet (internal/fleet) the store is the L2 of a three-level
-// lookup: Runner's single-flight memo (L1, per process) → shared store
-// (L2, per fleet) → compute.
+// The store is the L2 of the Runner's lookup: single-flight memo (L1,
+// per process) → store (L2, per directory) → compute.
 type Store struct {
 	dir string
 	// Logf, when non-nil, replaces the standard logger for corruption
@@ -89,6 +92,14 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // guard result payloads: CRC-64 (ECMA) over the exact bytes, hex encoded.
 func ResultSum(b []byte) string {
 	return fmt.Sprintf("%016x", crc64.Checksum(b, crcTable))
+}
+
+// simKeyBytes renders the canonical identity of a simulation — the bytes
+// the store's content address and the fleet protocol key on.
+// Struct-field order makes json.Marshal deterministic for identical
+// keys.
+func simKeyBytes(key simKey) ([]byte, error) {
+	return json.Marshal(key)
 }
 
 // entryName returns the content address of a key: SHA-256 over the
@@ -191,9 +202,8 @@ func (s *Store) record(key simKey, res *simResult) error {
 }
 
 // recordRaw writes the entry for keyBytes with the given raw result
-// bytes, atomically (temp file + fsync + rename), so concurrent writers
-// and a crash mid-write can never leave a torn entry under the final
-// name.
+// bytes atomically, so concurrent writers and a crash mid-write can
+// never leave a torn entry under the final name.
 func (s *Store) recordRaw(keyBytes, resultBytes []byte) error {
 	name := entryName(keyBytes)
 	env, err := json.Marshal(storeEntry{
@@ -204,24 +214,8 @@ func (s *Store) recordRaw(keyBytes, resultBytes []byte) error {
 	if err != nil {
 		return fmt.Errorf("sim: store entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-"+name[:12]+"-*")
-	if err != nil {
-		return fmt.Errorf("sim: store write: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(env); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sim: store write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sim: store fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sim: store close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
-		return fmt.Errorf("sim: store rename: %w", err)
+	if err := WriteFileAtomic(s.path(name), env); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	if s.corruptKeys[name] {
@@ -229,6 +223,34 @@ func (s *Store) recordRaw(keyBytes, resultBytes []byte) error {
 		s.repaired++
 	}
 	s.mu.Unlock()
+	return nil
+}
+
+// WriteFileAtomic writes data under path so that path holds either its
+// old content or all of data, never a torn mix: it writes a temp file in
+// path's directory, fsyncs it and renames it over path. The temp file's
+// name starts with ".tmp-", so a writer killed mid-write leaves an
+// orphan that Store.Len skips and Store.GC reaps.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-"+filepath.Base(path)+"-*")
+	if err != nil {
+		return fmt.Errorf("sim: atomic write: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fmt.Errorf("sim: atomic write: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("sim: atomic fsync: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("sim: atomic close: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("sim: atomic rename: %w", err)
+	}
 	return nil
 }
 

@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"dtexl/internal/core"
+	"dtexl/internal/pipeline"
 )
 
 // storeOptions returns a small two-benchmark suite for store tests.
@@ -294,5 +296,208 @@ func TestSuiteCellsDeterministic(t *testing.T) {
 	}
 	if _, _, err := (CellSpec{Bench: "TRu", Policy: "no-such-policy"}).ResolvePolicy(); err == nil {
 		t.Error("ResolvePolicy accepted an unknown policy label")
+	}
+}
+
+// TestStoreResumeByteIdentical: an interrupted suite (its store holding
+// only part of the results) resumed under a fresh runner renders text
+// and CSV byte-identical to an uninterrupted run.
+func TestStoreResumeByteIdentical(t *testing.T) {
+	opt := storeOptions()
+
+	// Reference: uninterrupted, store-free run.
+	ref := NewRunner(opt)
+	var want, wantCSV bytes.Buffer
+	if err := ref.RunExperiment("fig11", &want); err != nil {
+		t.Fatal(err)
+	}
+	ref.CSV = true
+	if err := ref.RunExperiment("fig11", &wantCSV); err != nil {
+		t.Fatal(err)
+	}
+
+	// "Crashed" run: store two of fig11's cells, then abandon the runner
+	// (simulating SIGKILL between cells).
+	dir := t.TempDir()
+	st1, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1.Logf = t.Logf
+	r1 := NewRunner(opt)
+	r1.Store = st1
+	for _, pol := range []core.Policy{core.Baseline(), core.DTexL()} {
+		if _, err := r1.RunOneWith("TRu", pol, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Resumed run: serves the stored cells, computes the rest.
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Logf = t.Logf
+	r2 := NewRunner(opt)
+	r2.Store = st2
+	var got, gotCSV bytes.Buffer
+	if err := r2.RunExperiment("fig11", &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("resumed fig11 differs from uninterrupted run:\n--- want\n%s--- got\n%s", want.String(), got.String())
+	}
+	if st2.Stats().Hits == 0 {
+		t.Error("resumed run never hit the store")
+	}
+	r2.CSV = true
+	if err := r2.RunExperiment("fig11", &gotCSV); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
+		t.Error("resumed fig11 CSV differs from uninterrupted run")
+	}
+}
+
+// syntheticKey builds a distinct simKey without running a simulation —
+// the store's contract is over keys and entries, not metrics.
+func syntheticKey(alias string, seed uint64) simKey {
+	cfg := pipeline.DefaultConfig()
+	cfg.Width = int(seed) // distinct effective configs → distinct keys
+	return simKey{Alias: alias, Seed: seed, Frames: 1, Cfg: cfg}
+}
+
+func syntheticResult(n uint64) *simResult {
+	return &simResult{Metrics: &pipeline.Metrics{Cycles: int64(n), FPS: float64(n) / 3.0}}
+}
+
+// TestStoreConcurrentWriters hammers one store from many goroutines —
+// dtexld shares a single store across its whole runner pool — and
+// checks (under -race in CI) that every record lands and reads back,
+// and that a fresh OpenStore serves all of them.
+func TestStoreConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Logf = t.Logf
+	const writers, perWriter = 8, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				seed := uint64(w*perWriter + i + 1)
+				key := syntheticKey("TRu", seed)
+				if err := st.record(key, syntheticResult(seed)); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				if res, ok := st.lookup(key); !ok || res.Metrics.Cycles != int64(seed) {
+					t.Errorf("writer %d: record %d not readable after write", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Logf = t.Logf
+	if n, err := st2.Len(); err != nil || n != writers*perWriter {
+		t.Fatalf("Len() = %d, %v; want %d", n, err, writers*perWriter)
+	}
+	for seed := uint64(1); seed <= writers*perWriter; seed++ {
+		res, ok := st2.lookup(syntheticKey("TRu", seed))
+		if !ok || res.Metrics.Cycles != int64(seed) {
+			t.Fatalf("seed %d not served by a fresh store (ok %v)", seed, ok)
+		}
+	}
+	if s := st2.Stats(); s.Hits != writers*perWriter || s.Misses != 0 {
+		t.Errorf("fresh store stats = %+v, want %d hits", s, writers*perWriter)
+	}
+}
+
+// TestStoreTornWrite: what a process killed mid-write can leave behind
+// never reads as a result. A truncated entry is dropped, recomputed and
+// repaired; a leftover ".tmp-" file — here a complete envelope that
+// never got renamed — is neither counted by Len nor served, and GC
+// reaps it once it is old.
+func TestStoreTornWrite(t *testing.T) {
+	dir := t.TempDir()
+	opt := storeOptions()
+	st1, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1.Logf = t.Logf
+	r1 := NewRunner(opt)
+	r1.Store = st1
+	want := map[string]*RunResult{}
+	for _, alias := range opt.aliases() {
+		if want[alias], err = r1.RunOneWith(alias, core.Baseline(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := func(alias string) string {
+		return storeEntryPath(t, st1, newSimKey(opt, alias, core.Baseline()))
+	}
+
+	// Tear TRu's entry; turn CCS's back into the temp file of a writer
+	// that died before its rename.
+	torn := entry("TRu")
+	raw, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, raw[:len(raw)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, ".tmp-"+filepath.Base(entry("CCS"))+"-42")
+	if err := os.Rename(entry("CCS"), orphan); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Logf = t.Logf
+	if n, err := st2.Len(); err != nil || n != 1 {
+		t.Fatalf("Len() = %d, %v; want 1 (the torn entry, not the temp file)", n, err)
+	}
+	r2 := NewRunner(opt)
+	r2.Store = st2
+	for _, alias := range opt.aliases() {
+		got, err := r2.RunOneWith(alias, core.Baseline(), nil)
+		if err != nil {
+			t.Fatalf("%s: resume over a torn store failed: %v", alias, err)
+		}
+		if !reflect.DeepEqual(got.Metrics, want[alias].Metrics) {
+			t.Errorf("%s: recomputed metrics differ from the original run", alias)
+		}
+	}
+	if s := st2.Stats(); s.Hits != 0 || s.Misses != 2 || s.CorruptDropped != 1 || s.Repaired != 1 {
+		t.Errorf("stats over the torn store = %+v, want 0 hits, 2 misses, 1 corrupt drop, 1 repair", s)
+	}
+	if n, err := st2.Len(); err != nil || n != 2 {
+		t.Errorf("Len() = %d, %v after the recompute, want 2", n, err)
+	}
+
+	// The temp file outlives the recompute until GC finds it old.
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(orphan, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st2.GC(GCPolicy{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("GC left the orphaned temp file: %v", err)
 	}
 }

@@ -180,7 +180,7 @@ func cellKey(opt Options, c CellSpec) (simKey, core.Policy, error) {
 }
 
 // RunCell executes one cell through the Runner's full memo stack (L1
-// memo → journal → shared store → compute) — the fleet worker's entry
+// memo → store → compute) — the fleet worker's entry
 // point and the experiments' read path. Results are bit-identical to
 // the serial suite's.
 func (r *Runner) RunCell(ctx context.Context, c CellSpec) (*RunResult, error) {
