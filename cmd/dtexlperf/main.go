@@ -1,7 +1,7 @@
 // Command dtexlperf is the continuous-perf service (DESIGN.md §13):
 // it ingests every bench run — `go test -bench` text, benchguard -json
-// reports, golden-metrics JSON — into an append-only per-benchmark
-// time series keyed by commit, detects step-change regressions with a
+// reports, golden-metrics JSON — into a per-benchmark time series
+// keyed by commit, detects step-change regressions with a
 // windowed median/MAD changepoint test, serves a dashboard + JSON API,
 // and auto-bisects a detected regression by re-running the offending
 // microbenchmark per commit in git worktrees.
@@ -66,7 +66,7 @@ func run() int {
 	}
 	defer db.Close()
 	if n := db.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "dtexlperf: warning: dropped %d torn log lines during replay\n", n)
+		fmt.Fprintf(os.Stderr, "dtexlperf: warning: dropped %d unreadable batches (or legacy log lines) on open\n", n)
 	}
 
 	cmd, args := fs.Arg(0), fs.Args()[1:]

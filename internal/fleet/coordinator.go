@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"dtexl/internal/durable"
 	"dtexl/internal/sim"
 )
 
@@ -431,7 +432,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	if cl == nil {
 		return fmt.Errorf("unknown cell %q", req.Cell.ID())
 	}
-	if req.Sum != sim.ResultSum(req.Result) {
+	if req.Sum != durable.Sum(req.Result) {
 		c.rejectedResults++
 		c.cfg.Logf("fleet: rejected result for cell %s from %s: checksum mismatch", cl.spec.ID(), req.WorkerID)
 		if l := c.leases[req.LeaseID]; l != nil && l.cell == cl {

@@ -2,26 +2,22 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
-	"dtexl/internal/sim"
+	"dtexl/internal/durable"
 )
 
 // ErrHalted is returned by Run after Halt: the node stopped abruptly,
 // with no final snapshot and no lease handoff.
 var ErrHalted = errors.New("fleet: ha node halted")
-
-// EpochLeaseName is the store-directory file through which coordinators
-// arbitrate who is primary. Like the snapshot log it does not end in
-// .json, so store GC and corruption tooling never touch it.
-const EpochLeaseName = "coordinator.lease"
 
 // Defaults for HAConfig.
 const (
@@ -29,67 +25,63 @@ const (
 	DefaultSnapshotInterval = 1 * time.Second
 )
 
-// epochLease is the on-disk primary claim: who holds which epoch, and
-// when they last proved liveness. Written atomically; read by standbys.
-type epochLease struct {
-	Epoch           uint64 `json:"epoch"`
+// claimPrefix names epoch N's claim file, claimPrefix+N, in the shared
+// store directory. Like the snapshot it does not end in .json, so the
+// store's Len and GC never touch it. Creating the file decides the
+// epoch (durable.Claim), and the winner's renewals fill it. Claim files
+// are tiny and one per failover, so they stay as an audit trail.
+const claimPrefix = "coordinator.claim."
+
+// epochClaim is the record in a claim file: the node holding the epoch
+// and when it last proved liveness. The holder renews it in place.
+type epochClaim struct {
 	Node            string `json:"node"`
 	RenewedUnixNano int64  `json:"renewed_unix_nano"`
 }
 
-func epochLeasePath(dir string) string { return filepath.Join(dir, EpochLeaseName) }
-
-// readEpochLease returns the current lease record, or nil when the file
-// is missing or unreadable (a torn write is impossible — writes are
-// atomic — but a corrupt file is treated as absent, which only ever
-// delays takeover by one claim round).
-func readEpochLease(dir string) *epochLease {
-	b, err := os.ReadFile(epochLeasePath(dir))
-	if err != nil {
-		return nil
-	}
-	var l epochLease
-	if err := json.Unmarshal(b, &l); err != nil || l.Epoch == 0 {
-		return nil
-	}
-	return &l
+func claimPath(dir string, epoch uint64) string {
+	return filepath.Join(dir, claimPrefix+strconv.FormatUint(epoch, 10))
 }
 
-func writeEpochLease(dir string, l epochLease) error {
-	b, err := json.Marshal(l)
-	if err != nil {
-		return err
+// latestClaim returns the current epoch (the highest N with a claim
+// file, 0 if none) and its claim. An unreadable claim (torn, of an older
+// version, or not yet renewed) counts as renewed at its modification
+// time: it goes stale like any other, and one being written is not
+// stolen.
+func latestClaim(dir string) (epoch uint64, c epochClaim, err error) {
+	ents, err := os.ReadDir(dir)
+	for _, de := range ents {
+		if s, ok := strings.CutPrefix(de.Name(), claimPrefix); ok {
+			if n, err := strconv.ParseUint(s, 10, 64); err == nil && n > epoch {
+				epoch = n
+			}
+		}
 	}
-	return sim.WriteFileAtomic(epochLeasePath(dir), b)
-}
-
-// claimEpoch decides epoch ownership races: creating the claim file for
-// epoch n is exclusive (O_EXCL), so exactly one contender wins each
-// epoch number. Claim files are tiny and bounded by the number of
-// failovers, so they are left in place as an audit trail.
-func claimEpoch(dir string, epoch uint64, node string) bool {
-	f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("coordinator.claim.%d", epoch)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return false
+	if epoch == 0 || err != nil {
+		return 0, c, err
 	}
-	fmt.Fprintln(f, node)
-	f.Sync()
-	f.Close()
-	return true
+	path := claimPath(dir, epoch)
+	if _, err := durable.ReadRecord(path, &c); err == nil {
+		return epoch, c, nil
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, c, err
+	}
+	return epoch, epochClaim{RenewedUnixNano: fi.ModTime().UnixNano()}, nil
 }
 
 // HAConfig configures one coordinator node in a highly-available pair
-// (or larger set). All nodes share the store directory; the epoch lease
-// and snapshot log live there.
+// (or larger set). All nodes share the store directory; the epoch claims
+// and the snapshot live there.
 type HAConfig struct {
 	// Coordinator is the base coordinator configuration. Epoch and Resume
 	// are owned by the HA layer and overwritten on activation.
 	Coordinator CoordinatorConfig
-	// NodeID names this process in the epoch lease and stats.
+	// NodeID names this process in its epoch claim and stats.
 	NodeID string
-	// Standby: never create the initial epoch lease — only seize a stale
-	// one. A primary (Standby=false) claims epoch 1 when no lease exists.
+	// Standby: never claim the first epoch — only seize a stale one. A
+	// primary (Standby=false) claims epoch 1 when no claim exists.
 	Standby bool
 	// LeaseInterval is the primary's renewal cadence and the standby's
 	// poll cadence; default 500ms.
@@ -103,8 +95,6 @@ type HAConfig struct {
 	SnapshotInterval time.Duration
 	// Logf, when non-nil, receives one line per HA event.
 	Logf func(format string, args ...any)
-
-	now func() time.Time // test hook; time.Now when nil
 }
 
 func (c HAConfig) withDefaults() HAConfig {
@@ -123,15 +113,12 @@ func (c HAConfig) withDefaults() HAConfig {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.now == nil {
-		c.now = time.Now
-	}
 	return c
 }
 
-// HA wraps a coordinator slot behind the epoch-lease election: the node
+// HA wraps a coordinator slot behind the epoch-claim election: the node
 // is either active (owns the current epoch, serves the fleet protocol)
-// or standby (returns 503 and watches the lease). Run drives the state
+// or standby (returns 503 and watches the claims). Run drives the state
 // machine; Handler can be mounted immediately.
 type HA struct {
 	cfg HAConfig
@@ -156,7 +143,7 @@ func NewHA(cfg HAConfig) (*HA, error) {
 	return &HA{cfg: cfg, done: make(chan struct{}), halt: make(chan struct{})}, nil
 }
 
-// Halt stops the node as a crash would: lease renewals, snapshots and
+// Halt stops the node as a crash would: claim renewals, snapshots and
 // serving all cease immediately, with no final snapshot and no handoff.
 // The in-process stand-in for SIGKILL in failover tests and chaos
 // drills; Run returns ErrHalted.
@@ -216,9 +203,10 @@ func (h *HA) setActive(coord *Coordinator, epoch uint64) {
 	h.mu.Unlock()
 }
 
-// Run drives the node: watch the epoch lease, take over when it is
-// absent (primary only) or stale, serve the epoch until fenced or ctx
-// ends, then return to watching. Returns ctx.Err() on cancellation.
+// Run drives the node: watch the epoch claims, take over when there is
+// none (primary only) or the newest is stale, serve the epoch until
+// fenced or ctx ends, then return to watching. Returns ctx.Err() on
+// cancellation.
 func (h *HA) Run(ctx context.Context) error {
 	dir := h.cfg.Coordinator.Store.Dir()
 	for {
@@ -239,19 +227,21 @@ func (h *HA) Run(ctx context.Context) error {
 // it now owns.
 func (h *HA) watch(ctx context.Context, dir string) (uint64, error) {
 	for {
-		l := readEpochLease(dir)
+		epoch, c, err := latestClaim(dir)
 		switch {
-		case l == nil:
-			// No lease yet. A designated standby never bootstraps the
+		case err != nil:
+			h.cfg.Logf("fleet: ha %s: reading epoch claims: %v", h.cfg.NodeID, err)
+		case epoch == 0:
+			// No claim yet. A designated standby never bootstraps the
 			// deployment; it waits for the primary's first claim.
-			if !h.cfg.Standby && claimEpoch(dir, 1, h.cfg.NodeID) {
+			if !h.cfg.Standby && durable.Claim(claimPath(dir, 1)) == nil {
 				return 1, nil
 			}
-		case h.cfg.now().Sub(time.Unix(0, l.RenewedUnixNano)) > h.cfg.LeaseTimeout:
-			h.cfg.Logf("fleet: ha %s: epoch %d lease from %s is stale; attempting takeover of epoch %d",
-				h.cfg.NodeID, l.Epoch, l.Node, l.Epoch+1)
-			if claimEpoch(dir, l.Epoch+1, h.cfg.NodeID) {
-				return l.Epoch + 1, nil
+		case time.Since(time.Unix(0, c.RenewedUnixNano)) > h.cfg.LeaseTimeout:
+			h.cfg.Logf("fleet: ha %s: epoch %d claim of %q is stale; attempting takeover of epoch %d",
+				h.cfg.NodeID, epoch, c.Node, epoch+1)
+			if durable.Claim(claimPath(dir, epoch+1)) == nil {
+				return epoch + 1, nil
 			}
 			// Lost the claim race; the winner will renew shortly.
 		}
@@ -265,13 +255,19 @@ func (h *HA) watch(ctx context.Context, dir string) (uint64, error) {
 	}
 }
 
-// serveEpoch activates the coordinator for one epoch: replay the newest
-// valid snapshot plus the store scan, then renew the lease and snapshot
-// on a cadence until fenced (returns nil) or ctx ends (returns
-// ctx.Err()).
+// renewClaim rewrites this node's claim on epoch as one durable record
+// stamped now.
+func (h *HA) renewClaim(dir string, epoch uint64) error {
+	c := epochClaim{Node: h.cfg.NodeID, RenewedUnixNano: time.Now().UnixNano()}
+	return durable.WriteRecord(claimPath(dir, epoch), nil, c)
+}
+
+// serveEpoch activates the coordinator for one epoch: replay the
+// snapshot plus the store scan, then renew the claim and snapshot on a
+// cadence until fenced (returns nil) or ctx ends (returns ctx.Err()).
 func (h *HA) serveEpoch(ctx context.Context, dir string, epoch uint64) error {
-	if err := writeEpochLease(dir, epochLease{Epoch: epoch, Node: h.cfg.NodeID, RenewedUnixNano: h.cfg.now().UnixNano()}); err != nil {
-		return fmt.Errorf("fleet: ha %s: epoch lease write: %w", h.cfg.NodeID, err)
+	if err := h.renewClaim(dir, epoch); err != nil {
+		return fmt.Errorf("fleet: ha %s: epoch claim write: %w", h.cfg.NodeID, err)
 	}
 	snap, err := LoadSnapshot(dir)
 	if err != nil {
@@ -302,11 +298,11 @@ func (h *HA) serveEpoch(ctx context.Context, dir string, epoch uint64) error {
 			h.setActive(nil, 0) // crash: stop serving mid-flight, snapshot nothing
 			return ErrHalted
 		case <-renew.C:
-			if l := readEpochLease(dir); l != nil && l.Epoch > epoch {
-				return nil // fenced by a newer epoch; stop serving immediately
+			if _, err := os.Stat(claimPath(dir, epoch+1)); err == nil {
+				return nil // fenced by the successor's claim; stop serving immediately
 			}
-			if err := writeEpochLease(dir, epochLease{Epoch: epoch, Node: h.cfg.NodeID, RenewedUnixNano: h.cfg.now().UnixNano()}); err != nil {
-				h.cfg.Logf("fleet: ha %s: epoch lease renew: %v", h.cfg.NodeID, err)
+			if err := h.renewClaim(dir, epoch); err != nil {
+				h.cfg.Logf("fleet: ha %s: epoch claim renew: %v", h.cfg.NodeID, err)
 			}
 		case <-snapT.C:
 			h.snapshot(dir, coord)
@@ -319,7 +315,7 @@ func (h *HA) serveEpoch(ctx context.Context, dir string, epoch uint64) error {
 }
 
 func (h *HA) snapshot(dir string, coord *Coordinator) {
-	if err := AppendSnapshot(dir, coord.Snapshot()); err != nil {
-		h.cfg.Logf("fleet: ha %s: snapshot append: %v", h.cfg.NodeID, err)
+	if err := WriteSnapshot(dir, coord.Snapshot()); err != nil {
+		h.cfg.Logf("fleet: ha %s: snapshot write: %v", h.cfg.NodeID, err)
 	}
 }

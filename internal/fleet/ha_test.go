@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,20 +15,21 @@ import (
 	"testing"
 	"time"
 
+	"dtexl/internal/durable"
 	"dtexl/internal/netauth"
 	"dtexl/internal/sim"
 )
 
 // newTestHA builds one HA node over the shared store directory with
-// fast failover timings.
-func newTestHA(t *testing.T, dir, node string, standby bool, opt sim.Options) *HA {
+// fast failover timings; tune, when given, adjusts the configuration.
+func newTestHA(t *testing.T, dir, node string, standby bool, opt sim.Options, tune ...func(*HAConfig)) *HA {
 	t.Helper()
 	st, err := sim.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Logf = t.Logf
-	h, err := NewHA(HAConfig{
+	cfg := HAConfig{
 		Coordinator: CoordinatorConfig{
 			Opt:               opt,
 			Store:             st,
@@ -42,11 +44,30 @@ func newTestHA(t *testing.T, dir, node string, standby bool, opt sim.Options) *H
 		LeaseTimeout:     150 * time.Millisecond,
 		SnapshotInterval: 25 * time.Millisecond,
 		Logf:             t.Logf,
-	})
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	h, err := NewHA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// runHA runs h until the test ends and waits for it to stop before the
+// test's directories are removed.
+func runHA(t *testing.T, h *HA) {
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		h.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-stopped
+	})
 }
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -81,7 +102,7 @@ func TestFailoverMidSweepByteIdentical(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(t.Context(), 3*time.Minute)
 	defer cancel()
-	// Both nodes write leases and snapshots into dir until Run returns:
+	// Both nodes write claims and snapshots into dir until Run returns:
 	// wait for them, after the deferred cancel, before TempDir removes it.
 	var nodes sync.WaitGroup
 	t.Cleanup(nodes.Wait)
@@ -250,7 +271,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	inflight := leaseFresh()
 
 	snap := a.Snapshot()
-	if err := AppendSnapshot(dir, snap); err != nil {
+	if err := WriteSnapshot(dir, snap); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSnapshot(dir)
@@ -263,7 +284,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	wantJSON, _ := json.Marshal(snap)
 	gotJSON, _ := json.Marshal(loaded)
 	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("snapshot did not round-trip the log:\n want %s\n got  %s", wantJSON, gotJSON)
+		t.Fatalf("snapshot did not round-trip its file:\n want %s\n got  %s", wantJSON, gotJSON)
 	}
 
 	st2, err := sim.OpenStore(dir)
@@ -313,10 +334,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotTornTailFallback: a crash mid-append leaves a torn final
-// record; the checksum rejects it, LoadSnapshot falls back to the
-// previous record, and a coordinator restored from it still finishes
-// the sweep byte-identical to serial.
+// TestSnapshotTornTailFallback: a crash mid-snapshot leaves a temp file
+// holding half a record beside the previous complete snapshot; the
+// previous snapshot still loads, and a coordinator restored from it
+// finishes the sweep byte-identical to serial. A bit-flipped snapshot
+// fails its checksum and loads as nil, and a coordinator resumes from
+// the store alone.
 func TestSnapshotTornTailFallback(t *testing.T) {
 	opt := fleetOptions()
 	want := serialRender(t, opt, []string{"fig11"})
@@ -341,25 +364,25 @@ func TestSnapshotTornTailFallback(t *testing.T) {
 		completeCell(t, a, r, reg.WorkerID, g.LeaseID, g.Cell)
 	}
 	good := a.Snapshot()
-	if err := AppendSnapshot(dir, good); err != nil {
+	if err := WriteSnapshot(dir, good); err != nil {
 		t.Fatal(err)
 	}
-	// Crash mid-append: a half-written record with no trailing newline.
-	f, err := os.OpenFile(filepath.Join(dir, SnapshotLogName), os.O_WRONLY|os.O_APPEND, 0o644)
+	// Crash mid-write of the next snapshot: half a record in the temp
+	// file that was never renamed.
+	next, err := os.ReadFile(filepath.Join(dir, SnapshotName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`deadbeefdeadbeef	{"epoch":9,"seq":999,"cells":[{"id":"tor`); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ".tmp-"+SnapshotName+"-42"), next[:len(next)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	loaded, err := LoadSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded == nil || loaded.Epoch != 1 || loaded.Seq != good.Seq {
-		t.Fatalf("torn tail not rejected: loaded %+v, want the previous record (seq %d)", loaded, good.Seq)
+		t.Fatalf("torn write not ignored: loaded %+v, want the previous snapshot (seq %d)", loaded, good.Seq)
 	}
 
 	// Restore and finish the sweep over HTTP with a real worker.
@@ -386,7 +409,126 @@ func TestSnapshotTornTailFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.String() != want {
-		t.Errorf("post-torn-tail render differs from serial run:\n--- want\n%s--- got\n%s", want, got.String())
+		t.Errorf("post-torn-write render differs from serial run:\n--- want\n%s--- got\n%s", want, got.String())
+	}
+
+	// Bit rot in the snapshot: it loads as nil, and the store alone
+	// settles every cell.
+	path := filepath.Join(dir, SnapshotName)
+	rec, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec[len(rec)/2] ^= 0x08
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := LoadSnapshot(dir); loaded != nil || !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("bit-flipped snapshot: loaded %+v, err %v; want nil and a corrupt-record error", loaded, err)
+	}
+	c, err := NewCoordinator(CoordinatorConfig{Opt: opt, Store: st2, Epoch: 3, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Done != st.Cells || !st.SuiteDone {
+		t.Fatalf("coordinator over the store alone: %+v, want every cell done", st)
+	}
+	got.Reset()
+	if err := c.RenderExperiments([]string{"fig11"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Errorf("store-only render differs from serial run:\n--- want\n%s--- got\n%s", want, got.String())
+	}
+}
+
+// TestElectionIgnoresLegacyLease: a directory holding an unreadable
+// coordinator.lease and an old plain-text coordinator.claim.1 — the
+// state that used to leave a restarted primary retrying epoch 1 forever
+// — reads as a stale epoch 1, and the primary takes epoch 2.
+func TestElectionIgnoresLegacyLease(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "coordinator.lease"), []byte("\x00garbage{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "coordinator.claim.1"), []byte("alpha\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHA(t, dir, "alpha", false, fleetOptions())
+	runHA(t, h)
+	waitFor(t, 2*time.Second, "primary to take epoch 2", func() bool {
+		return h.Epoch() == 2 && h.Coordinator() != nil
+	})
+}
+
+// TestElectionTornClaimGoesStale: the newest claim torn by a crash is
+// not stolen while its modification time is fresh (a claim still being
+// written looks the same), and once it is older than the lease timeout
+// a standby claims the next epoch.
+func TestElectionTornClaimGoesStale(t *testing.T) {
+	dir := t.TempDir()
+	b, err := json.Marshal(epochClaim{Node: "alpha", RenewedUnixNano: time.Now().UnixNano()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteRecord(claimPath(dir, 1), nil, b); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(claimPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := claimPath(dir, 2)
+	if err := os.WriteFile(torn, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHA(t, dir, "beta", true, fleetOptions(), func(c *HAConfig) { c.LeaseTimeout = time.Hour })
+	runHA(t, h)
+	time.Sleep(10 * h.cfg.LeaseInterval)
+	if e := h.Epoch(); e != 0 {
+		t.Fatalf("standby took epoch %d from a fresh torn claim", e)
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(torn, old, old); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "standby to take epoch 3", func() bool {
+		return h.Epoch() == 3 && h.Coordinator() != nil
+	})
+}
+
+// TestElectionDeposesLivePrimary: once the successor's claim appears, a
+// live primary stops serving at its next renewal tick — Coordinator()
+// is nil and the fleet protocol answers 503 — and stays standby while
+// that claim is fresh.
+func TestElectionDeposesLivePrimary(t *testing.T) {
+	dir := t.TempDir()
+	const interval = 200 * time.Millisecond
+	h := newTestHA(t, dir, "alpha", false, fleetOptions(), func(c *HAConfig) {
+		c.LeaseInterval = interval
+		c.LeaseTimeout = time.Hour
+	})
+	runHA(t, h)
+	waitFor(t, 2*time.Second, "primary to take epoch 1", func() bool {
+		return h.Epoch() == 1 && h.Coordinator() != nil
+	})
+	if err := durable.Claim(claimPath(dir, 2)); err != nil {
+		t.Fatalf("claim epoch 2: %v", err)
+	}
+	claimed := time.Now()
+	waitFor(t, 2*time.Second, "primary to stop serving", func() bool { return h.Coordinator() == nil })
+	// One renewal tick, plus scheduling slack.
+	if elapsed := time.Since(claimed); elapsed > 2*interval {
+		t.Errorf("primary served %v after the successor's claim, want at most one lease interval (%v)", elapsed, interval)
+	}
+	rec := httptest.NewRecorder()
+	h.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PathStats, nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("deposed primary answered %d, want 503", rec.Code)
+	}
+	time.Sleep(2 * interval)
+	if e := h.Epoch(); e != 0 || h.Coordinator() != nil {
+		t.Errorf("deposed primary is active again at epoch %d while the successor's claim is fresh", e)
 	}
 }
 

@@ -1,26 +1,20 @@
 package fleet
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
-	"dtexl/internal/sim"
+	"dtexl/internal/durable"
 )
 
-// SnapshotLogName is the append-only snapshot log the coordinator keeps
-// in the shared store directory. It deliberately does not end in .json:
-// the store's GC and corruption tooling only touch *.json entries, so
-// the log is invisible to them.
-const SnapshotLogName = "coordinator.snaplog"
-
-// snaplogCompactAt bounds the log: once an append would push the file
-// past this size it is rewritten to hold only the newest record.
-const snaplogCompactAt = 1 << 20
+// SnapshotName is the coordinator's snapshot in the shared store
+// directory: one durable record, replaced whole each interval. It does
+// not end in .json: the store's GC and corruption tooling only touch
+// *.json entries, so the snapshot is invisible to them.
+const SnapshotName = "coordinator.snapshot"
 
 // SnapshotState is the coordinator's authoritative mutable state — the
 // part a standby cannot rebuild from the store alone. Completion is NOT
@@ -70,7 +64,7 @@ type SnapshotLease struct {
 }
 
 // Snapshot captures the coordinator's authoritative state for the HA
-// snapshot log.
+// snapshot.
 func (c *Coordinator) Snapshot() *SnapshotState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,67 +168,24 @@ func (c *Coordinator) restoreLocked(s *SnapshotState, now time.Time) {
 	c.checkDoneLocked()
 }
 
-// AppendSnapshot appends one checksummed record to the snapshot log in
-// dir, fsync'd so a later failover can trust what it reads. Each line is
-// "<crc64hex>\t<json>"; a torn tail (crash mid-append) fails the
-// checksum and LoadSnapshot falls back to the previous record. When the
-// log would outgrow the compaction bound it is rewritten to hold only
-// this record, atomically.
-func AppendSnapshot(dir string, s *SnapshotState) error {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("fleet: snapshot encode: %w", err)
-	}
-	line := sim.ResultSum(b) + "\t" + string(b) + "\n"
-	path := filepath.Join(dir, SnapshotLogName)
-	if fi, err := os.Stat(path); err == nil && fi.Size()+int64(len(line)) > snaplogCompactAt {
-		return sim.WriteFileAtomic(path, []byte(line))
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("fleet: snapshot log: %w", err)
-	}
-	if _, err := f.WriteString(line); err != nil {
-		f.Close()
-		return fmt.Errorf("fleet: snapshot append: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("fleet: snapshot fsync: %w", err)
-	}
-	return f.Close()
+// WriteSnapshot replaces dir's snapshot with s as one record written
+// whole, so a failover reads this snapshot or the previous one.
+func WriteSnapshot(dir string, s *SnapshotState) error {
+	return durable.WriteRecord(filepath.Join(dir, SnapshotName), nil, s)
 }
 
-// LoadSnapshot returns the newest checksum-valid record in dir's
-// snapshot log, or (nil, nil) when the log is missing or holds no valid
-// record. Invalid lines — torn tails, bit rot — are skipped, not fatal:
-// the store replay covers whatever a lost snapshot knew about
-// completions, and retry accounting degrades to the older record.
+// LoadSnapshot returns dir's snapshot, or (nil, nil) when there is none.
+// A snapshot that fails verification is an error and loads as nil: the
+// store replay covers whatever it knew about completions, and only its
+// retry accounting, quarantine verdicts and in-flight leases restart.
 func LoadSnapshot(dir string) (*SnapshotState, error) {
-	f, err := os.Open(filepath.Join(dir, SnapshotLogName))
+	var s SnapshotState
+	_, err := durable.ReadRecord(filepath.Join(dir, SnapshotName), &s)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("fleet: snapshot log: %w", err)
+		return nil, fmt.Errorf("fleet: snapshot: %w", err)
 	}
-	defer f.Close()
-	var latest *SnapshotState
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		sum, body, ok := strings.Cut(sc.Text(), "\t")
-		if !ok || sim.ResultSum([]byte(body)) != sum {
-			continue // torn or corrupt record
-		}
-		var s SnapshotState
-		if err := json.Unmarshal([]byte(body), &s); err != nil {
-			continue
-		}
-		latest = &s
-	}
-	if err := sc.Err(); err != nil {
-		return latest, fmt.Errorf("fleet: snapshot log read: %w", err)
-	}
-	return latest, nil
+	return &s, nil
 }

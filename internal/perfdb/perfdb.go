@@ -1,46 +1,51 @@
 // Package perfdb is the continuous-perf store behind cmd/dtexlperf
-// (DESIGN.md §13): an append-only, per-benchmark time series of every
-// bench run keyed by commit, a step-change regression detector over
-// those series (internal/stats.DetectSteps), and an automatic bisector
-// that re-runs one microbenchmark per commit in git worktrees to
-// pinpoint the offending commit. Modeled on skia-buildbot's perf +
-// pinpoint split, scaled to this repo: one directory, one JSONL log,
-// one process.
+// (DESIGN.md §13): a per-benchmark time series of every bench run keyed
+// by commit, a step-change regression detector over those series
+// (internal/stats.DetectSteps), and an automatic bisector that re-runs
+// one microbenchmark per commit in git worktrees to pinpoint the
+// offending commit. Modeled on skia-buildbot's perf + pinpoint split,
+// scaled to this repo: one directory of files.
 //
 // The on-disk layout under the database directory is
 //
-//	log.jsonl  one Point per line, append-only, fsync'd per batch
-//	raw/       every ingested artifact byte-for-byte as received
+//	points/NNNNNN.json  one durable record per Append: its points, in order
+//	raw/                every ingested artifact byte-for-byte as received
 //
-// Commit order is first-appearance order in the log: the ingest
-// pipeline appends runs in CI order, which is commit order. Nothing is
-// ever rewritten, so a torn tail from a crash mid-append loses at most
-// the final batch. Replay skips an unparsable line and keeps reading:
-// Open newline-terminates a torn tail, so later appends follow it.
+// Every file is written whole (internal/durable), so a crash loses at
+// most the batch being written. Commit order is first-appearance order
+// across the batches in number order: the ingest pipeline appends runs
+// in CI order, which is commit order. A batch that fails its checksum
+// is skipped and counted by Dropped. An older version's log.jsonl is
+// converted once into batch 000000 and renamed log.jsonl.migrated.
 package perfdb
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
+	"dtexl/internal/durable"
 	"dtexl/internal/stats"
 )
 
-// logFile is the append-only point log under the database directory.
-const logFile = "log.jsonl"
+// pointsDir holds the point batches, one durable record each.
+const pointsDir = "points"
+
+// legacyLog is older versions' log, one JSON Point per line.
+const legacyLog = "log.jsonl"
 
 // rawDir holds ingested artifacts verbatim.
 const rawDir = "raw"
 
 // Point is one measurement of one series at one commit: the unit of
-// ingestion and the line format of log.jsonl. Samples holds every
+// ingestion and the element of a batch. Samples holds every
 // repeated measurement of the run (e.g. the -count=5 values of one
 // benchmark); consumers collapse them with a median.
 type Point struct {
@@ -66,21 +71,23 @@ type DB struct {
 	dir string
 
 	mu      sync.Mutex
-	log     *os.File
+	next    int // number of the next batch Append writes
 	commits []string
 	commitI map[string]int
 	// series -> commit -> merged samples (multiple Appends for the
 	// same (series, commit) concatenate, like re-runs of one commit).
-	series map[string]map[string][]float64
-	units  map[string]string
-	torn   int // unparsable lines dropped during replay
+	series  map[string]map[string][]float64
+	units   map[string]string
+	dropped int // unreadable batches (and legacy log lines) skipped by Open
 }
 
-// Open opens (creating if needed) the database under dir and replays
-// the valid prefix of its log.
+// Open opens (creating if needed) the database under dir, converts a
+// legacy log and reads every batch in name order.
 func Open(dir string) (*DB, error) {
-	if err := os.MkdirAll(filepath.Join(dir, rawDir), 0o755); err != nil {
-		return nil, fmt.Errorf("perfdb: %w", err)
+	for _, sub := range []string{pointsDir, rawDir} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("perfdb: %w", err)
+		}
 	}
 	db := &DB{
 		dir:     dir,
@@ -88,49 +95,61 @@ func Open(dir string) (*DB, error) {
 		series:  make(map[string]map[string][]float64),
 		units:   make(map[string]string),
 	}
-	path := filepath.Join(dir, logFile)
-	if rf, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(rf)
-		sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var p Point
-			if err := json.Unmarshal(line, &p); err != nil || p.Commit == "" || p.Series == "" {
-				// Torn tail from a crash mid-append: the batch is lost,
-				// the next ingest of that run recreates it.
-				db.torn++
-				continue
-			}
-			db.index(p)
-		}
-		rf.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("perfdb: replay %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("perfdb: %w", err)
+	if err := db.migrateLegacyLog(); err != nil {
+		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	// Sorted by name, which is number order.
+	ents, err := os.ReadDir(filepath.Join(dir, pointsDir))
 	if err != nil {
 		return nil, fmt.Errorf("perfdb: %w", err)
 	}
-	// A torn tail may lack its newline; appending onto it would glue
-	// the next good point to the garbage and lose that too. Terminate
-	// the line now so the torn bytes stay isolated to one dropped line.
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		last := make([]byte, 1)
-		if _, err := f.ReadAt(last, st.Size()-1); err == nil && last[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("perfdb: %w", err)
-			}
+	for _, de := range ents {
+		name, ok := strings.CutSuffix(de.Name(), ".json")
+		n, err := strconv.Atoi(name)
+		if !ok || err != nil {
+			continue // an interrupted write's temp file, not a batch
+		}
+		db.next = max(db.next, n+1)
+		var pts []Point
+		if _, err := durable.ReadRecord(filepath.Join(dir, pointsDir, de.Name()), &pts); err != nil {
+			db.dropped++ // torn or rotted on disk; re-ingesting the run recreates it
+			continue
+		}
+		for _, p := range pts {
+			db.index(p)
 		}
 	}
-	db.log = f
 	return db, nil
+}
+
+// migrateLegacyLog converts an older version's log.jsonl once: its valid
+// points, in order, become batch 000000, its unparsable lines count in
+// Dropped, and it is renamed log.jsonl.migrated. A batch 000000 already
+// on disk is a conversion stopped short of the rename, which is left.
+func (db *DB) migrateLegacyLog() error {
+	path := filepath.Join(db.dir, legacyLog)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("perfdb: %w", err)
+	}
+	first := filepath.Join(db.dir, pointsDir, "000000.json")
+	if _, err := os.Stat(first); errors.Is(err, os.ErrNotExist) {
+		var pts []Point
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var p Point
+			if json.Unmarshal(line, &p) == nil && p.Commit != "" && p.Series != "" && len(p.Samples) > 0 {
+				pts = append(pts, p)
+			} else if len(line) > 0 {
+				db.dropped++
+			}
+		}
+		if err := durable.WriteRecord(first, nil, pts); err != nil {
+			return fmt.Errorf("perfdb: %w", err)
+		}
+	}
+	return os.Rename(path, path+".migrated")
 }
 
 // index merges one point into the in-memory view (caller holds mu or
@@ -151,32 +170,31 @@ func (db *DB) index(p Point) {
 	}
 }
 
-// Append durably appends a batch of points: one JSON line each, then
-// one fsync for the batch. Points with an empty commit, series or
-// sample set are rejected before anything is written.
+// Append durably records a batch of points as the next batch file,
+// written whole. Invalid points are rejected before anything is
+// written.
 func (db *DB) Append(points []Point) error {
 	for _, p := range points {
-		if p.Commit == "" || p.Series == "" {
-			return fmt.Errorf("perfdb: point needs commit and series: %+v", p)
-		}
-		if len(p.Samples) == 0 {
-			return fmt.Errorf("perfdb: point %s@%s has no samples", p.Series, p.Commit)
+		if p.Commit == "" || p.Series == "" || len(p.Samples) == 0 {
+			return fmt.Errorf("perfdb: point needs a commit, a series and samples: %+v", p)
 		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	w := bufio.NewWriter(db.log)
-	enc := json.NewEncoder(w)
-	for _, p := range points {
-		if err := enc.Encode(p); err != nil {
+	// Claim the next free number, so a batch another process appended
+	// since Open is skipped rather than replaced.
+	for {
+		path := filepath.Join(db.dir, pointsDir, fmt.Sprintf("%06d.json", db.next))
+		db.next++
+		err := durable.Claim(path)
+		if err == nil {
+			err = durable.WriteRecord(path, nil, points)
+		}
+		if err == nil {
+			break
+		} else if !errors.Is(err, os.ErrExist) {
 			return fmt.Errorf("perfdb: append: %w", err)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("perfdb: append: %w", err)
-	}
-	if err := db.log.Sync(); err != nil {
-		return fmt.Errorf("perfdb: append: %w", err)
 	}
 	for _, p := range points {
 		db.index(p)
@@ -184,23 +202,20 @@ func (db *DB) Append(points []Point) error {
 	return nil
 }
 
-// Close closes the log file. The DB must not be used afterwards.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.log.Close()
-}
+// Close is a no-op: the DB holds no open file between calls.
+func (db *DB) Close() error { return nil }
 
-// Dropped reports unparsable log lines skipped during Open (a torn
-// tail from a crash; at most one batch).
+// Dropped reports what Open skipped: batches that failed verification
+// (bit rot or truncation on disk; each is one lost Append) and, when it
+// converted a legacy log, that log's unparsable lines.
 func (db *DB) Dropped() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.torn
+	return db.dropped
 }
 
-// Commits returns the global commit order (first-appearance order in
-// the log).
+// Commits returns the global commit order (first-appearance order
+// across the batches).
 func (db *DB) Commits() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -314,8 +329,7 @@ func (db *DB) PutRaw(name string, data []byte) (string, error) {
 		return "", err
 	}
 	id := fmt.Sprintf("%04d-%s", len(ids), sanitizeRawName(name))
-	path := filepath.Join(db.dir, rawDir, id)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := durable.WriteFile(filepath.Join(db.dir, rawDir, id), data); err != nil {
 		return "", fmt.Errorf("perfdb: raw: %w", err)
 	}
 	return id, nil
@@ -323,7 +337,7 @@ func (db *DB) PutRaw(name string, data []byte) (string, error) {
 
 // GetRaw returns a stored artifact's bytes.
 func (db *DB) GetRaw(id string) ([]byte, error) {
-	if id != sanitizeRawName(id) {
+	if id != sanitizeRawName(id) || strings.HasPrefix(id, durable.TempPrefix) {
 		return nil, fmt.Errorf("perfdb: invalid raw id %q", id)
 	}
 	return os.ReadFile(filepath.Join(db.dir, rawDir, id))
@@ -343,7 +357,8 @@ func (db *DB) rawIDsLocked() ([]string, error) {
 	}
 	ids := make([]string, 0, len(ents))
 	for _, e := range ents {
-		if !e.IsDir() {
+		// A temp file is an interrupted PutRaw, not an artifact.
+		if !e.IsDir() && !strings.HasPrefix(e.Name(), durable.TempPrefix) {
 			ids = append(ids, e.Name())
 		}
 	}

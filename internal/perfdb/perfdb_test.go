@@ -2,6 +2,7 @@ package perfdb
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,18 +133,34 @@ func TestDBReplay(t *testing.T) {
 		t.Errorf("replayed unit = %q", got)
 	}
 
-	// Appends after a replay continue the same log.
+	// Appends after a replay continue the batch sequence: one record
+	// per Append, numbered in order, and no log file.
 	if err := re.Append([]Point{{Commit: "c05", Series: "BenchmarkHot", Samples: []float64{105}}}); err != nil {
 		t.Fatalf("append after replay: %v", err)
 	}
 	if got := len(re.Series("BenchmarkHot")); got != 6 {
 		t.Errorf("series has %d points after post-replay append, want 6", got)
 	}
+	batches, err := filepath.Glob(filepath.Join(dir, pointsDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batches {
+		batches[i] = filepath.Base(batches[i])
+	}
+	want := []string{"000000.json", "000001.json", "000002.json", "000003.json", "000004.json", "000005.json"}
+	if !reflect.DeepEqual(batches, want) {
+		t.Errorf("batch files = %v, want %v", batches, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, legacyLog)); !os.IsNotExist(err) {
+		t.Errorf("a log file exists: %v", err)
+	}
 }
 
-// TestDBTornTail: a crash mid-append leaves a torn final line; Open
-// must drop exactly that line, keep every complete point, and keep the
-// log usable for further appends.
+// TestDBTornTail: a batch torn on disk fails its checksum and a crash
+// mid-Append leaves only a temp file; Open drops exactly the torn batch,
+// ignores the temp file, keeps every other point, and later appends
+// take fresh batch numbers rather than overwriting either.
 func TestDBTornTail(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)
@@ -154,19 +171,24 @@ func TestDBTornTail(t *testing.T) {
 		{Commit: "c1", Series: "B", Samples: []float64{1}},
 		{Commit: "c2", Series: "B", Samples: []float64{2}},
 	})
+	db.Append([]Point{{Commit: "c3", Series: "B", Samples: []float64{3}}})
 	db.Close()
 
-	logPath := filepath.Join(dir, logFile)
-	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
+	last := filepath.Join(dir, pointsDir, "000001.json")
+	raw, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"commit":"c3","series":"B","sam`) // torn mid-key
-	f.Close()
+	if err := os.WriteFile(last, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, pointsDir, ".tmp-000002.json-7"), raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	re, err := Open(dir)
 	if err != nil {
-		t.Fatalf("reopen with torn tail: %v", err)
+		t.Fatalf("reopen with a torn batch: %v", err)
 	}
 	defer re.Close()
 	if re.Dropped() != 1 {
@@ -176,18 +198,156 @@ func TestDBTornTail(t *testing.T) {
 		t.Errorf("kept %d points, want the 2 complete ones", got)
 	}
 	if err := re.Append([]Point{{Commit: "c3", Series: "B", Samples: []float64{3}}}); err != nil {
-		t.Fatalf("append after torn-tail recovery: %v", err)
+		t.Fatalf("append after a torn batch: %v", err)
 	}
 	// The re-append of the lost batch must replay cleanly next time:
-	// the torn line is mid-file now, still dropped, everything else kept.
+	// the torn batch is still dropped, everything else kept.
 	re.Close()
 	re2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re2.Close()
+	if re2.Dropped() != 1 {
+		t.Errorf("after recovery cycle: Dropped = %d, want 1", re2.Dropped())
+	}
 	if got := len(re2.Series("B")); got != 3 {
 		t.Errorf("after recovery cycle: %d points, want 3", got)
+	}
+}
+
+// TestDBConcurrentOpenKeepsBatches: two DBs open on one directory, as
+// a running server and a command-line ingest are, each number their
+// batches from what they read at Open. A batch the other appended
+// since is skipped, not replaced, and a reopen reads both.
+func TestDBConcurrentOpenKeepsBatches(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append([]Point{{Commit: "c1", Series: "A", Samples: []float64{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append([]Point{{Commit: "c2", Series: "B", Samples: []float64{2}}}); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Commits(); !reflect.DeepEqual(got, []string{"c1", "c2"}) {
+		t.Errorf("Commits after two writers = %v, want [c1 c2]", got)
+	}
+	if re.Dropped() != 0 {
+		t.Errorf("Dropped = %d, want 0", re.Dropped())
+	}
+}
+
+// TestDBMigratesLegacyLog: a log.jsonl in the older one-point-per-line
+// format, holding a torn line mid-file (an earlier crash that Open then
+// newline-terminated) and a torn tail, opens with the same view as the
+// same points appended batch by batch, drops the two torn lines, and is
+// converted exactly once: into batch 000000, with the log renamed.
+func TestDBMigratesLegacyLog(t *testing.T) {
+	points := []Point{
+		{Commit: "c1", Series: "BenchmarkA", Unit: "ns/op", Source: "bench.txt", Samples: []float64{100, 110, 90}},
+		{Commit: "c1", Series: "BenchmarkB", Unit: "ns/op", Samples: []float64{7}},
+		{Commit: "c2", Series: "BenchmarkA", Unit: "ns/op", Samples: []float64{105}},
+		{Commit: "c1", Series: "BenchmarkA", Samples: []float64{95}},
+		{Commit: "c3", Series: "metrics.x.L2.Hits", Samples: []float64{1, 2, 3}},
+	}
+	var legacy bytes.Buffer
+	for i, p := range points {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy.Write(b)
+		legacy.WriteByte('\n')
+		if i == 2 {
+			legacy.WriteString(`{"commit":"c9","series":"B","sam` + "\n")
+		}
+	}
+	legacy.WriteString(`{"commit":"c4","series":"BenchmarkA","samples":[1`)
+
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, legacyLog)
+	if err := os.WriteFile(logPath, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := openTestDB(t)
+	for _, p := range points {
+		if err := want.Append([]Point{p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameView := func(db *DB) {
+		t.Helper()
+		if got, w := db.Commits(), want.Commits(); !reflect.DeepEqual(got, w) {
+			t.Errorf("Commits = %v, want %v", got, w)
+		}
+		if got, w := db.SeriesNames(), want.SeriesNames(); !reflect.DeepEqual(got, w) {
+			t.Errorf("SeriesNames = %v, want %v", got, w)
+		}
+		for _, name := range want.SeriesNames() {
+			if got, w := db.Series(name), want.Series(name); !reflect.DeepEqual(got, w) {
+				t.Errorf("Series(%s) = %+v, want %+v", name, got, w)
+			}
+			if got, w := db.Unit(name), want.Unit(name); got != w {
+				t.Errorf("Unit(%s) = %q, want %q", name, got, w)
+			}
+		}
+	}
+
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open a legacy log: %v", err)
+	}
+	sameView(db)
+	if db.Dropped() != 2 {
+		t.Errorf("Dropped = %d, want the 2 torn lines", db.Dropped())
+	}
+	db.Close()
+	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
+		t.Errorf("log.jsonl still present after conversion: %v", err)
+	}
+	if got, err := os.ReadFile(logPath + ".migrated"); err != nil || !bytes.Equal(got, legacy.Bytes()) {
+		t.Errorf("log.jsonl.migrated is not the original log: %v", err)
+	}
+
+	// Converted exactly once: a reopen reads batch 000000 only.
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameView(re)
+	if re.Dropped() != 0 {
+		t.Errorf("reopen Dropped = %d, want 0", re.Dropped())
+	}
+	re.Close()
+	batches, err := filepath.Glob(filepath.Join(dir, pointsDir, "*"))
+	if err != nil || len(batches) != 1 || filepath.Base(batches[0]) != "000000.json" {
+		t.Errorf("batches after conversion = %v, %v; want [000000.json]", batches, err)
+	}
+
+	// A conversion stopped before its rename leaves the log beside batch
+	// 000000; the next Open only renames it.
+	if err := os.WriteFile(logPath, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	sameView(again)
+	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
+		t.Errorf("log.jsonl not renamed on the resumed conversion: %v", err)
 	}
 }
 
@@ -216,6 +376,34 @@ func TestRawRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ids, []string{id, id2}) {
 		t.Errorf("RawIDs = %v, want [%s %s]", ids, id, id2)
+	}
+}
+
+// TestRawSkipsInterruptedWrite: a PutRaw killed mid-write leaves only a
+// ".tmp-" file in raw/; it is not listed, not served and not counted
+// toward the next artifact ID.
+func TestRawSkipsInterruptedWrite(t *testing.T) {
+	db, dir := openTestDB(t)
+	id, err := db.PutRaw("first.txt", []byte("whole"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := ".tmp-0001-second.txt-99"
+	if err := os.WriteFile(filepath.Join(dir, rawDir, tmp), []byte("hal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := db.RawIDs(); err != nil || !reflect.DeepEqual(ids, []string{id}) {
+		t.Errorf("RawIDs = %v, %v; want [%s]", ids, err, id)
+	}
+	if _, err := db.GetRaw(tmp); err == nil {
+		t.Errorf("GetRaw served the interrupted write %s", tmp)
+	}
+	id2, err := db.PutRaw("second.txt", []byte("whole too"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id2 != "0001-second.txt" {
+		t.Errorf("next raw id = %q, want 0001-second.txt", id2)
 	}
 }
 

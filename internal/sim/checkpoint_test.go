@@ -133,7 +133,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	st3.Logf = t.Logf
 	for _, alias := range opt.aliases() {
-		res, ok := st3.lookup(newSimKey(opt, alias, core.Baseline()))
+		res, ok := st3.lookup(newSimKey(opt, alias, core.Baseline()), true)
 		if !ok || !reflect.DeepEqual(res.Metrics, want[alias].Metrics) {
 			t.Errorf("%s: not served by the next process after the repair (ok %v)", alias, ok)
 		}
@@ -257,7 +257,7 @@ func TestJournalConcurrentWritersTornTail(t *testing.T) {
 	st2.Logf = t.Logf
 	found := 0
 	for seed := uint64(1); seed <= total; seed++ {
-		if res, ok := st2.lookup(syntheticKey("CCS", seed)); ok {
+		if res, ok := st2.lookup(syntheticKey("CCS", seed), true); ok {
 			if res.Metrics.Cycles != int64(seed) {
 				t.Fatalf("seed %d served cycles %d", seed, res.Metrics.Cycles)
 			}
@@ -274,7 +274,7 @@ func TestJournalConcurrentWritersTornTail(t *testing.T) {
 	if err := st2.record(tornKey, syntheticResult(total)); err != nil {
 		t.Fatal(err)
 	}
-	if res, ok := st2.lookup(tornKey); !ok || res.Metrics.Cycles != total {
+	if res, ok := st2.lookup(tornKey, true); !ok || res.Metrics.Cycles != total {
 		t.Fatalf("re-recorded entry not served (ok %v)", ok)
 	}
 	if s := st2.Stats(); s.Repaired != 1 {

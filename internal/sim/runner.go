@@ -186,7 +186,7 @@ func (r *Runner) simulate(reqCtx context.Context, key simKey, pol core.Policy, p
 		if r.Store != nil {
 			// L2: the result store. Checksummed, so a corrupt entry reads
 			// as a miss and the compute below repairs it.
-			if sr, ok := r.Store.lookup(key); ok {
+			if sr, ok := r.Store.lookup(key, true); ok {
 				atomic.AddUint64(&r.completedSims, 1)
 				if r.Progress != nil {
 					r.Progress(fmt.Sprintf("%-4s %-18s served from shared store", alias, pol.Name))

@@ -5,8 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc64"
 	"log"
 	"os"
 	"path/filepath"
@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dtexl/internal/durable"
 )
 
 // Store is the content-addressed result store: the one place completed
@@ -22,21 +24,21 @@ import (
 // Each completed simulation is one file under the store directory,
 // named by the SHA-256 of its canonical simKey bytes (the effective
 // machine configuration plus workload identity, exactly the in-memory
-// memo key), holding the label-independent result JSON guarded by a
-// CRC-64 checksum.
+// memo key), holding one durable record: the canonical key bytes and
+// the label-independent result JSON guarded by a CRC-64 checksum.
 //
 // The store is safe for concurrent use by many processes sharing the
-// directory: writes go through WriteFileAtomic, so readers never
+// directory: writes go through durable.WriteFile, so readers never
 // observe a torn entry, and two workers recording the same cell write
 // byte-identical content in either order. A process killed mid-write
-// leaves at most a ".tmp-" file, which Len and lookups ignore and GC
-// reaps. Reads verify both the checksum and the stored key bytes; a
-// corrupt entry (bit rot, truncation, injected fault) is dropped and
-// reported as a miss, so the cell is recomputed — and the recompute's
-// record repairs the entry in place. Results round-trip bit-identically
-// through JSON (Go's float64 encoding is exact), so a cell served from
-// the store renders byte-for-byte the same output as a cell computed
-// live.
+// leaves at most a ".tmp-" file, which Len and lookups ignore and GC,
+// which OpenStore runs, reaps once it is an hour old. Reads verify both
+// the checksum and the stored key bytes; a corrupt entry (bit rot,
+// truncation, injected fault) is dropped and reported as a miss, so the
+// cell is recomputed — and the recompute's record repairs the entry in
+// place. Results round-trip bit-identically through JSON (Go's float64
+// encoding is exact), so a cell served from the store renders
+// byte-for-byte the same output as a cell computed live.
 //
 // The store is the L2 of the Runner's lookup: single-flight memo (L1,
 // per process) → store (L2, per directory) → compute.
@@ -66,33 +68,22 @@ type StoreStats struct {
 	Repaired uint64
 }
 
-// storeEntry is the on-disk envelope: the canonical key bytes, the
-// CRC-64 (ECMA) of the raw result bytes, and the result itself.
-type storeEntry struct {
-	Key    json.RawMessage `json:"key"`
-	Sum    string          `json:"sum"`
-	Result json.RawMessage `json:"result"`
-}
-
 // OpenStore opens (creating if needed) a shared result store rooted at
-// dir.
+// dir. It runs GC with the zero policy, which evicts nothing but reaps
+// the temp files crashed writers left there.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sim: result store dir: %w", err)
 	}
-	return &Store{dir: dir, corruptKeys: make(map[string]bool)}, nil
+	s := &Store{dir: dir, corruptKeys: make(map[string]bool)}
+	if _, err := s.GC(GCPolicy{}, nil); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// ResultSum is the checksum the store and the fleet wire protocol use to
-// guard result payloads: CRC-64 (ECMA) over the exact bytes, hex encoded.
-func ResultSum(b []byte) string {
-	return fmt.Sprintf("%016x", crc64.Checksum(b, crcTable))
-}
 
 // simKeyBytes renders the canonical identity of a simulation — the bytes
 // the store's content address and the fleet protocol key on.
@@ -122,27 +113,14 @@ func (s *Store) warnf(format string, args ...any) {
 }
 
 // lookup returns the stored result for key, verifying the checksum and
-// key bytes. A corrupt entry is removed (so the recompute repairs it)
-// and reported as a miss.
-func (s *Store) lookup(key simKey) (*simResult, bool) {
-	kb, err := simKeyBytes(key)
+// key bytes. A corrupt entry is removed (so the recompute repairs it),
+// counted and reported as a miss. count selects whether the hit/miss
+// counters move.
+func (s *Store) lookup(key simKey, count bool) (*simResult, bool) {
+	keyBytes, err := simKeyBytes(key)
 	if err != nil {
 		return nil, false
 	}
-	res, ok := s.load(kb, true)
-	return res, ok
-}
-
-// has reports whether a valid entry exists for the key without counting
-// a hit or miss; corrupt entries are still dropped (and counted).
-func (s *Store) has(keyBytes []byte) bool {
-	_, ok := s.load(keyBytes, false)
-	return ok
-}
-
-// load reads and verifies one entry. count selects whether the hit/miss
-// counters move; corruption always counts.
-func (s *Store) load(keyBytes []byte, count bool) (*simResult, bool) {
 	name := entryName(keyBytes)
 	miss := func() (*simResult, bool) {
 		if count {
@@ -151,10 +129,6 @@ func (s *Store) load(keyBytes []byte, count bool) (*simResult, bool) {
 			s.mu.Unlock()
 		}
 		return nil, false
-	}
-	raw, err := os.ReadFile(s.path(name))
-	if err != nil {
-		return miss()
 	}
 	reject := func(reason string) (*simResult, bool) {
 		os.Remove(s.path(name))
@@ -165,19 +139,19 @@ func (s *Store) load(keyBytes []byte, count bool) (*simResult, bool) {
 		s.warnf("sim: store %s: dropped corrupt entry %s (%s); the cell will be recomputed", s.dir, name[:12], reason)
 		return miss()
 	}
-	var e storeEntry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return reject("unparseable envelope")
+	var res simResult
+	stored, err := durable.ReadRecord(s.path(name), &res)
+	if errors.Is(err, durable.ErrCorrupt) {
+		return reject(err.Error())
 	}
-	if e.Sum != ResultSum(e.Result) {
-		return reject("result checksum mismatch")
+	if err != nil {
+		return miss()
 	}
-	if !bytes.Equal(e.Key, keyBytes) {
+	if !bytes.Equal(stored, keyBytes) {
 		return reject("key bytes do not match the content address")
 	}
-	var res simResult
-	if err := json.Unmarshal(e.Result, &res); err != nil || res.Metrics == nil {
-		return reject("unparseable result")
+	if res.Metrics == nil {
+		return reject("result has no metrics")
 	}
 	if count {
 		s.mu.Lock()
@@ -187,35 +161,18 @@ func (s *Store) load(keyBytes []byte, count bool) (*simResult, bool) {
 	return &res, true
 }
 
-// record persists one computed result. Failures are returned, not fatal:
-// a missed record only costs a deterministic recompute later.
-func (s *Store) record(key simKey, res *simResult) error {
-	kb, err := simKeyBytes(key)
+// record persists one result, written whole so concurrent writers and
+// a crash mid-write never leave a torn entry under the final name.
+// Failures are returned, not fatal: a missed record only costs a
+// deterministic recompute later.
+func (s *Store) record(key simKey, result any) error {
+	keyBytes, err := simKeyBytes(key)
 	if err != nil {
 		return fmt.Errorf("sim: store key: %w", err)
 	}
-	rb, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("sim: store result: %w", err)
-	}
-	return s.recordRaw(kb, rb)
-}
-
-// recordRaw writes the entry for keyBytes with the given raw result
-// bytes atomically, so concurrent writers and a crash mid-write can
-// never leave a torn entry under the final name.
-func (s *Store) recordRaw(keyBytes, resultBytes []byte) error {
 	name := entryName(keyBytes)
-	env, err := json.Marshal(storeEntry{
-		Key:    keyBytes,
-		Sum:    ResultSum(resultBytes),
-		Result: resultBytes,
-	})
-	if err != nil {
+	if err := durable.WriteRecord(s.path(name), keyBytes, result); err != nil {
 		return fmt.Errorf("sim: store entry: %w", err)
-	}
-	if err := WriteFileAtomic(s.path(name), env); err != nil {
-		return err
 	}
 	s.mu.Lock()
 	if s.corruptKeys[name] {
@@ -223,34 +180,6 @@ func (s *Store) recordRaw(keyBytes, resultBytes []byte) error {
 		s.repaired++
 	}
 	s.mu.Unlock()
-	return nil
-}
-
-// WriteFileAtomic writes data under path so that path holds either its
-// old content or all of data, never a torn mix: it writes a temp file in
-// path's directory, fsyncs it and renames it over path. The temp file's
-// name starts with ".tmp-", so a writer killed mid-write leaves an
-// orphan that Store.Len skips and Store.GC reaps.
-func WriteFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-"+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("sim: atomic write: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sim: atomic write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("sim: atomic fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("sim: atomic close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("sim: atomic rename: %w", err)
-	}
 	return nil
 }
 
@@ -267,11 +196,7 @@ func (s *Store) RecordCellResult(opt Options, c CellSpec, resultBytes []byte) er
 	if err != nil {
 		return err
 	}
-	kb, err := simKeyBytes(key)
-	if err != nil {
-		return fmt.Errorf("sim: store key: %w", err)
-	}
-	return s.recordRaw(kb, resultBytes)
+	return s.record(key, json.RawMessage(resultBytes))
 }
 
 // HasCell reports whether the store holds a valid result for the suite
@@ -283,11 +208,8 @@ func (s *Store) HasCell(opt Options, c CellSpec) bool {
 	if err != nil {
 		return false
 	}
-	kb, err := simKeyBytes(key)
-	if err != nil {
-		return false
-	}
-	return s.has(kb)
+	_, ok := s.lookup(key, false)
+	return ok
 }
 
 // Stats snapshots the store's counters. Safe to call concurrently.
@@ -375,7 +297,7 @@ func (s *Store) GC(pol GCPolicy, pinned map[string]bool) (GCStats, error) {
 		if err != nil {
 			continue // raced with a concurrent remove/rename
 		}
-		if strings.HasPrefix(fn, ".tmp-") {
+		if strings.HasPrefix(fn, durable.TempPrefix) {
 			// A writer holds its temp file only for one write+rename;
 			// anything this old is an orphan from a crashed process.
 			if now.Sub(info.ModTime()) > time.Hour {
@@ -385,7 +307,7 @@ func (s *Store) GC(pol GCPolicy, pinned map[string]bool) (GCStats, error) {
 		}
 		name, ok := strings.CutSuffix(fn, ".json")
 		if !ok {
-			continue
+			continue // the coordinator's snapshot and claims
 		}
 		live = append(live, entry{name: name, size: info.Size(), mod: info.ModTime()})
 	}
@@ -426,5 +348,5 @@ func MarshalCellResult(res *RunResult) (resultBytes []byte, sum string, err erro
 	if err != nil {
 		return nil, "", fmt.Errorf("sim: marshal cell result: %w", err)
 	}
-	return b, ResultSum(b), nil
+	return b, durable.Sum(b), nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dtexl/internal/core"
+	"dtexl/internal/durable"
 	"dtexl/internal/pipeline"
 )
 
@@ -201,8 +202,8 @@ func TestStoreRejectsBadCellPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum != ResultSum(b) {
-		t.Errorf("MarshalCellResult sum %s != ResultSum %s", sum, ResultSum(b))
+	if sum != durable.Sum(b) {
+		t.Errorf("MarshalCellResult sum %s != durable.Sum %s", sum, durable.Sum(b))
 	}
 	if err := st.RecordCellResult(opt, c, b); err != nil {
 		t.Fatal(err)
@@ -395,7 +396,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
-				if res, ok := st.lookup(key); !ok || res.Metrics.Cycles != int64(seed) {
+				if res, ok := st.lookup(key, true); !ok || res.Metrics.Cycles != int64(seed) {
 					t.Errorf("writer %d: record %d not readable after write", w, i)
 					return
 				}
@@ -413,7 +414,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 		t.Fatalf("Len() = %d, %v; want %d", n, err, writers*perWriter)
 	}
 	for seed := uint64(1); seed <= writers*perWriter; seed++ {
-		res, ok := st2.lookup(syntheticKey("TRu", seed))
+		res, ok := st2.lookup(syntheticKey("TRu", seed), true)
 		if !ok || res.Metrics.Cycles != int64(seed) {
 			t.Fatalf("seed %d not served by a fresh store (ok %v)", seed, ok)
 		}
@@ -427,7 +428,10 @@ func TestStoreConcurrentWriters(t *testing.T) {
 // never reads as a result. A truncated entry is dropped, recomputed and
 // repaired; a leftover ".tmp-" file — here a complete envelope that
 // never got renamed — is neither counted by Len nor served, and GC
-// reaps it once it is old.
+// reaps it once it is old. OpenStore applies the same rule, so a store
+// that never runs GC (dtexlbench -store, dtexld -store) still loses its
+// hour-old orphans on the next open and keeps a fresh one, which may
+// belong to a live writer.
 func TestStoreTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	opt := storeOptions()
@@ -499,5 +503,25 @@ func TestStoreTornWrite(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Errorf("GC left the orphaned temp file: %v", err)
+	}
+
+	stale := filepath.Join(dir, ".tmp-"+filepath.Base(entry("TRu"))+"-7")
+	fresh := filepath.Join(dir, ".tmp-"+filepath.Base(entry("CCS"))+"-8")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte(`{"key":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("OpenStore left the hour-old orphaned temp file: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("OpenStore removed a fresh temp file: %v", err)
 	}
 }
