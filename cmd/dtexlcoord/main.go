@@ -1,20 +1,24 @@
 // Command dtexlcoord coordinates a fleet of dtexld workers through a
-// sharded benchmark sweep: it slices the suite into leased cells,
-// hands them to registered workers, reassigns leases when heartbeats
-// lapse, lets idle workers steal from slow ones, quarantines cells
-// that exhaust their retry budget, and collects checksummed results
-// into the content-addressed shared store. When every cell has
-// settled it renders the requested experiment tables from the store —
+// benchmark sweep: it slices the suite into leased cells and hands
+// them to registered workers frame by frame — a worker stays on one
+// benchmark, whose cells all read one prepared frame, until that
+// benchmark's cells run out, and two workers open different
+// benchmarks. It reassigns leases when heartbeats lapse, lets idle
+// workers steal from slow ones, quarantines cells that exhaust their
+// retry budget, and collects checksummed results into the
+// content-addressed shared store. When every cell has settled it
+// renders the requested experiment tables from the store —
 // byte-identical to a serial dtexlbench run.
 //
 // The coordinator is highly available: it periodically snapshots its
 // authoritative state (leases, retry budgets, quarantine decisions,
 // counters) into the store directory, and a second dtexlcoord started
-// with -standby against the same store watches the epoch lease. When
-// the primary dies, the standby fences the old epoch, replays the
-// snapshot plus the store's completed results, and takes over;
-// workers re-register with their in-flight lease tokens and no cell
-// is double-counted or lost.
+// with -standby against the same store watches the current epoch's
+// claim file (coordinator.claim.N), which the primary renews. When
+// the primary dies and its claim goes stale, the standby claims epoch
+// N+1, fencing the old one, replays the snapshot plus the store's
+// completed results, and takes over; workers re-register with their
+// in-flight lease tokens and no cell is double-counted or lost.
 //
 // Usage:
 //
@@ -78,10 +82,10 @@ func run() int {
 		exitDone  = flag.Bool("exit-when-done", false, "exit once the suite settles (after rendering -exps)")
 		maxBytes  = flag.Int64("store-max-bytes", 0, "GC the store oldest-first to at most this many bytes (0 = unbounded); the live sweep's entries are never evicted")
 		maxAge    = flag.Duration("store-max-age", 0, "GC store entries older than this (0 = unbounded), e.g. 168h; the live sweep's entries are never evicted")
-		nodeID    = flag.String("node-id", "", "name for this coordinator in the epoch lease and stats (default host-pid)")
-		standby   = flag.Bool("standby", false, "start as a hot standby: serve 503 and watch the epoch lease, taking over only when the primary's lease goes stale")
-		leaseIvl  = flag.Duration("lease-interval", fleet.DefaultLeaseInterval, "epoch lease renewal (primary) and poll (standby) cadence")
-		leaseTmo  = flag.Duration("lease-timeout", 0, "epoch lease staleness bound past which a standby seizes the epoch (0 = 4x -lease-interval)")
+		nodeID    = flag.String("node-id", "", "name for this coordinator in its epoch claim file and stats (default host-pid)")
+		standby   = flag.Bool("standby", false, "start as a hot standby: serve 503 and watch the epoch claim file, taking over only when the primary's claim goes stale")
+		leaseIvl  = flag.Duration("lease-interval", fleet.DefaultLeaseInterval, "epoch claim renewal (primary) and poll (standby) cadence")
+		leaseTmo  = flag.Duration("lease-timeout", 0, "age of the last claim renewal past which a standby seizes the next epoch (0 = 4x -lease-interval)")
 		snapIvl   = flag.Duration("snapshot-interval", fleet.DefaultSnapshotInterval, "cadence of fsync'd state snapshots into the store directory")
 		verbose   = flag.Bool("v", false, "log per-event lines")
 	)

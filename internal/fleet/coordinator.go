@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -108,6 +107,7 @@ type workerState struct {
 	gone      bool
 	leases    map[string]*lease
 	completed int
+	bench     string // benchmark of the latest grant: the frame the worker holds
 }
 
 // Coordinator owns the sweep: the cell state machine, worker liveness,
@@ -148,11 +148,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		leases:  make(map[string]*lease),
 		done:    make(chan struct{}),
 	}
+	// A store with no entries primes no cell, so the resume scan (a key
+	// hash and a failed open per cell) is skipped.
+	n, err := cfg.Store.Len()
+	scan := err != nil || n > 0
 	for _, spec := range sim.SuiteCells(cfg.Opt) {
 		cl := &cell{spec: spec, leases: make(map[string]*lease)}
 		// Resume: a valid store entry settles the cell before any worker
 		// sees it. Corrupt entries are dropped by the scan and recomputed.
-		if cfg.Store.HasCell(cfg.Opt, spec) {
+		if scan && cfg.Store.HasCell(cfg.Opt, spec) {
 			cl.state = cellDone
 			c.primed++
 			c.settled++
@@ -251,26 +255,38 @@ func (c *Coordinator) releaseLeaseLocked(l *lease, reason string) {
 	c.cfg.Logf("fleet: cell %s back to pending (%s, attempt %d/%d)", cl.spec.ID(), reason, cl.attempts, c.cfg.RetryBudget)
 }
 
-// liveWorkersLocked returns the live worker IDs in stable order — the
-// shard table.
-func (c *Coordinator) liveWorkersLocked() []string {
-	var ids []string
-	for id, w := range c.workers {
-		if !w.gone {
-			ids = append(ids, id)
+// pendingLocked picks the pending cell to grant w, or nil: the first
+// of the benchmark w last leased, else the first of a benchmark no
+// other live worker is on, else the first. Every cell of a benchmark
+// reads one prepared frame and a worker keeps only the frame of its
+// current cell, so a worker stays on its frame until the benchmark runs
+// out and a sweep prepares each frame about once.
+func (c *Coordinator) pendingLocked(w *workerState) *cell {
+	taken := make(map[string]bool, len(c.workers))
+	for _, o := range c.workers {
+		if o != w && !o.gone {
+			taken[o.bench] = true
 		}
 	}
-	sort.Strings(ids)
-	return ids
-}
-
-// shardOf maps a cell to a shard index — stable per cell, so with a
-// steady fleet every cell has a preferred worker and workers mostly
-// stay out of each other's way.
-func shardOf(cellID string, n int) int {
-	h := fnv.New32a()
-	io.WriteString(h, cellID)
-	return int(h.Sum32() % uint32(n))
+	var free, first *cell
+	for _, cl := range c.cells {
+		if cl.state != cellPending {
+			continue
+		}
+		if cl.spec.Bench == w.bench {
+			return cl
+		}
+		if free == nil && !taken[cl.spec.Bench] {
+			free = cl
+		}
+		if first == nil {
+			first = cl
+		}
+	}
+	if free != nil {
+		return free
+	}
+	return first
 }
 
 // register admits a worker and hands it the suite contract.
@@ -309,6 +325,7 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 		}
 		l.worker = w.id
 		w.leases[l.id] = l
+		w.bench = l.cell.spec.Bench
 		resp.Resumed = append(resp.Resumed, l.id)
 		c.cfg.Logf("fleet: worker %s resumes lease %s on cell %s across re-registration", w.id, l.id, l.cell.spec.ID())
 	}
@@ -335,13 +352,13 @@ func (c *Coordinator) heartbeat(workerID string, epoch uint64) (ok, stale bool) 
 	return true, false
 }
 
-// lease grants one cell to the worker: a pending cell from its shard if
-// any, any pending cell otherwise, and failing that a steal of the
-// oldest over-age lease. ok=false means the worker must re-register;
-// stale=true means the grant was refused because the request carried a
-// fenced-off epoch (grants are never issued across epochs — that is the
-// fencing rule that keeps a partitioned old primary's workers from
-// double-leasing cells).
+// lease grants one cell to the worker: a pending cell by pendingLocked's
+// frame rule, and failing that a steal of the oldest over-age lease.
+// The grant's benchmark becomes the worker's. ok=false means the worker
+// must re-register; stale=true means the grant was refused because the
+// request carried a fenced-off epoch (grants are never issued across
+// epochs — that is the fencing rule that keeps a partitioned old
+// primary's workers from double-leasing cells).
 func (c *Coordinator) lease(workerID string, epoch uint64) (resp LeaseResponse, ok, stale bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -360,25 +377,7 @@ func (c *Coordinator) lease(workerID string, epoch uint64) (resp LeaseResponse, 
 		return LeaseResponse{Done: true}, true, false
 	}
 
-	live := c.liveWorkersLocked()
-	self := sort.SearchStrings(live, workerID)
-	var preferred, fallback *cell
-	for _, cl := range c.cells {
-		if cl.state != cellPending {
-			continue
-		}
-		if shardOf(cl.spec.ID(), len(live)) == self {
-			preferred = cl
-			break
-		}
-		if fallback == nil {
-			fallback = cl
-		}
-	}
-	pick := preferred
-	if pick == nil {
-		pick = fallback
-	}
+	pick := c.pendingLocked(w)
 	stolen := false
 	if pick == nil {
 		// No pending work: steal the oldest over-age lease not our own
@@ -405,6 +404,7 @@ func (c *Coordinator) lease(workerID string, epoch uint64) (resp LeaseResponse, 
 	l := &lease{id: fmt.Sprintf("l%d", c.seq), worker: workerID, cell: pick, granted: now, stolen: stolen}
 	c.leases[l.id] = l
 	w.leases[l.id] = l
+	w.bench = pick.spec.Bench
 	pick.leases[l.id] = l
 	if stolen {
 		c.stolen++
@@ -418,29 +418,30 @@ func (c *Coordinator) lease(workerID string, epoch uint64) (resp LeaseResponse, 
 }
 
 // complete admits one result. The checksum and payload are verified
-// before the store sees the bytes; a bad payload counts as a failure of
-// the lease. Late or duplicate completions — a reassigned worker
-// finishing anyway, the loser of a steal race, a partitioned worker
-// reporting after re-registration — are accepted idempotently: results
-// are deterministic, so the bytes are interchangeable.
+// and the store entry written (unless a valid one is already there)
+// before c.mu is taken, so leases and heartbeats never wait on the
+// disk; a bad payload counts as a failure of the lease. Late or
+// duplicate completions — a reassigned worker finishing anyway, the
+// loser of a steal race, a partitioned worker reporting after
+// re-registration — are accepted idempotently: results are
+// deterministic, so the bytes are interchangeable.
 func (c *Coordinator) complete(req CompleteRequest) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked(c.cfg.now())
-
+	// byID and the cells' specs are fixed at construction.
 	cl := c.byID[req.Cell.ID()]
 	if cl == nil {
 		return fmt.Errorf("unknown cell %q", req.Cell.ID())
 	}
+	var err error
 	if req.Sum != durable.Sum(req.Result) {
-		c.rejectedResults++
-		c.cfg.Logf("fleet: rejected result for cell %s from %s: checksum mismatch", cl.spec.ID(), req.WorkerID)
-		if l := c.leases[req.LeaseID]; l != nil && l.cell == cl {
-			c.releaseLeaseLocked(l, "rejected_result")
-		}
-		return fmt.Errorf("result checksum mismatch for cell %q", req.Cell.ID())
+		err = fmt.Errorf("result checksum mismatch for cell %q", req.Cell.ID())
+	} else {
+		err = c.cfg.Store.RecordCellResult(c.cfg.Opt, cl.spec, req.Result)
 	}
-	if err := c.cfg.Store.RecordCellResult(c.cfg.Opt, cl.spec, req.Result); err != nil {
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expireLocked(c.cfg.now())
+	if err != nil {
 		c.rejectedResults++
 		c.cfg.Logf("fleet: rejected result for cell %s from %s: %v", cl.spec.ID(), req.WorkerID, err)
 		if l := c.leases[req.LeaseID]; l != nil && l.cell == cl {

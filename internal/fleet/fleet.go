@@ -4,7 +4,8 @@
 //
 // The shape follows the proven task-scheduler pattern: workers register
 // with the coordinator and heartbeat on an interval; the coordinator
-// slices the suite into leased cells (sharded by simulation key),
+// slices the suite into leased cells, granted frame by frame so each
+// worker keeps one benchmark's prepared frame until its cells run out,
 // reassigns leases when heartbeats lapse, quarantines cells that exhaust
 // a bounded retry budget, and lets idle workers steal from slow ones.
 // Results travel with a checksum and land in the content-addressed

@@ -5,11 +5,15 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dtexl/internal/durable"
 	"dtexl/internal/sim"
 )
 
@@ -413,24 +417,189 @@ func TestCoordinatorResumesFromStore(t *testing.T) {
 	}
 }
 
-// TestSuiteCellsShardStable: shard assignment is deterministic and
-// within range — the property lease preference relies on.
+// threeBenchOptions is the suite of the frame-placement tests: three
+// benchmarks at 1/8 scale, 66 cells reading three prepared frames.
+func threeBenchOptions() sim.Options {
+	opt := sim.ScaledOptions(8)
+	opt.Benchmarks = []string{"TRu", "CCS", "SWa"}
+	return opt
+}
+
+// TestSuiteCellsShardStable: the lease rule keeps a worker on the
+// benchmark it last leased — the prepared frame its runner holds —
+// until that benchmark's cells run out. With two workers over three
+// benchmarks the grants are deterministic, the workers open different
+// benchmarks, and every cell is granted once.
 func TestSuiteCellsShardStable(t *testing.T) {
-	cells := sim.SuiteCells(fleetOptions())
-	for _, cl := range cells {
-		a, b := shardOf(cl.ID(), 3), shardOf(cl.ID(), 3)
-		if a != b || a < 0 || a >= 3 {
-			t.Fatalf("shardOf(%q, 3) unstable or out of range: %d, %d", cl.ID(), a, b)
+	opt := threeBenchOptions()
+	// The lease rule never reads results, so each cell completes with
+	// the smallest payload the store accepts.
+	payload := []byte(`{"Metrics":{}}`)
+	type grant struct {
+		worker string
+		cell   sim.CellSpec
+	}
+	sweep := func() []grant {
+		c, _ := newTestCoordinator(t, CoordinatorConfig{Opt: opt, Logf: func(string, ...any) {}})
+		ids := []string{c.register(RegisterRequest{Name: "a"}).WorkerID, c.register(RegisterRequest{Name: "b"}).WorkerID}
+		pending := func(bench string) int {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			n := 0
+			for _, cl := range c.cells {
+				if cl.spec.Bench == bench && cl.state == cellPending {
+					n++
+				}
+			}
+			return n
 		}
+		var grants []grant
+		last := map[string]string{}
+		for settled := false; !settled; {
+			for _, id := range ids {
+				g, ok, _ := c.lease(id, 0)
+				if !ok || g.Stolen || g.Idle {
+					t.Fatalf("worker %s: lease = %+v, ok = %v", id, g, ok)
+				}
+				if settled = g.Done; settled {
+					break
+				}
+				if strings.Contains(g.Cell.ID(), "\n") {
+					t.Fatalf("cell ID %q is not single-line", g.Cell.ID())
+				}
+				if prev := last[id]; prev != "" && prev != g.Cell.Bench && pending(prev) > 0 {
+					t.Errorf("worker %s left %s for %s with %d cell(s) of %s pending", id, prev, g.Cell.ID(), pending(prev), prev)
+				}
+				last[id] = g.Cell.Bench
+				grants = append(grants, grant{id, g.Cell})
+				if err := c.complete(CompleteRequest{
+					WorkerID: id, LeaseID: g.LeaseID, Cell: g.Cell, Result: payload, Sum: durable.Sum(payload),
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return grants
 	}
-	spread := map[int]int{}
-	for _, cl := range cells {
-		spread[shardOf(cl.ID(), 3)]++
+	grants := sweep()
+	if again := sweep(); !reflect.DeepEqual(grants, again) {
+		t.Fatalf("grants differ between two identical sweeps:\n%v\n%v", grants, again)
 	}
-	if len(spread) < 2 {
-		t.Errorf("shard spread degenerate: %v (want cells on >= 2 of 3 shards)", spread)
+	cells := sim.SuiteCells(opt)
+	seen := map[string]bool{}
+	for _, g := range grants {
+		seen[g.cell.ID()] = true
 	}
-	if strings.Contains(cells[0].ID(), "\n") {
-		t.Error("cell IDs must be single-line")
+	if len(grants) != len(cells) || len(seen) != len(cells) {
+		t.Fatalf("%d grants over %d distinct cells, want each of the %d cells once", len(grants), len(seen), len(cells))
+	}
+	if a, b := grants[0], grants[1]; a.worker == b.worker || a.cell.Bench == b.cell.Bench {
+		t.Errorf("first grants %+v and %+v; want two workers on different benchmarks", a, b)
+	}
+}
+
+// TestFleetOneFramePerWorker: two workers over three benchmarks each
+// hold one prepared frame at a time and between them prepare each frame
+// about once — at most frames + workers − 1 preparations — and the
+// render stays byte-identical to a serial run.
+func TestFleetOneFramePerWorker(t *testing.T) {
+	exps := []string{"fig11", "fig16", "fig17"}
+	opt := threeBenchOptions()
+	want := serialRender(t, opt, exps)
+
+	// No lapse may re-register a worker mid-sweep: a fresh worker ID
+	// starts on no benchmark and could cost a preparation.
+	c, srv := newTestCoordinator(t, CoordinatorConfig{
+		Opt:               opt,
+		HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatTimeout:  time.Minute,
+	})
+	var mu sync.Mutex
+	var runners []*sim.Runner
+	newRunner := func(opt sim.Options) *sim.Runner {
+		r := sim.NewRunner(opt)
+		mu.Lock()
+		runners = append(runners, r)
+		mu.Unlock()
+		return r
+	}
+	w1 := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "a", Logf: t.Logf, NewRunner: newRunner})
+	w2 := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "b", Logf: t.Logf, NewRunner: newRunner})
+	runWorkers(t, c, w1, w2)
+
+	if st := c.Stats(); st.Done != st.Cells || st.Stolen != 0 {
+		t.Fatalf("stats after sweep: %+v", st)
+	}
+	if len(runners) != 2 {
+		t.Fatalf("%d runners built, want 2", len(runners))
+	}
+	var misses uint64
+	for i, r := range runners {
+		tm := r.Timing()
+		if tm.PeakPrepared != 1 {
+			t.Errorf("worker runner %d held %d prepared frames at once, want 1", i, tm.PeakPrepared)
+		}
+		misses += tm.PrepMisses
+	}
+	if frames := uint64(len(opt.Benchmarks)); misses > frames+1 {
+		t.Errorf("workers prepared %d frames for %d benchmarks, want at most %d", misses, frames, frames+1)
+	}
+	var got bytes.Buffer
+	if err := c.RenderExperiments(exps, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Errorf("fleet render differs from serial run:\n--- want\n%s--- got\n%s", want, got.String())
+	}
+}
+
+// TestCompleteKeepsExistingEntry: a completion for a cell whose valid
+// entry a worker sharing the store has already written is admitted
+// without writing the entry again.
+func TestCompleteKeepsExistingEntry(t *testing.T) {
+	opt := fleetOptions()
+	dir := t.TempDir()
+	st, err := sim.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Logf = t.Logf
+	c, _ := newTestCoordinator(t, CoordinatorConfig{Opt: opt, Store: st})
+	reg := c.register(RegisterRequest{Name: "sharer"})
+	grant, ok, _ := c.lease(reg.WorkerID, 0)
+	if !ok || grant.LeaseID == "" {
+		t.Fatalf("no lease: %+v", grant)
+	}
+	r := sim.NewRunner(opt)
+	r.Store = st
+	res, err := r.RunCell(t.Context(), grant.Cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("store holds %v (%v), want the worker's one entry", ents, err)
+	}
+	entry := filepath.Join(dir, ents[0].Name())
+	before, err := os.Stat(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, sum, err := sim.MarshalCellResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.complete(CompleteRequest{WorkerID: reg.WorkerID, LeaseID: grant.LeaseID, Cell: grant.Cell, Result: b, Sum: sum}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("the completion replaced the worker's valid entry")
+	}
+	if s := c.Stats(); s.Done != 1 || s.Leased != 0 {
+		t.Errorf("stats after completion: done %d, leased %d; want 1, 0", s.Done, s.Leased)
 	}
 }

@@ -204,6 +204,10 @@ func (w *Worker) workCell(ctx context.Context, id string, l LeaseResponse) {
 	_, _, epoch := w.identity()
 	w.setHeld(&HeldLease{LeaseID: l.LeaseID, Cell: l.Cell, Epoch: epoch})
 	defer w.setHeld(nil)
+	// Hold only the prepared frame this cell reads: the coordinator
+	// leases frame by frame, so the frame dropped here is one this
+	// worker is done with.
+	w.runner.KeepFrameOf(l.Cell)
 	res, err := w.runner.RunCell(ctx, l.Cell)
 	if err != nil {
 		w.cfg.Logf("fleet: worker %s: cell %s failed: %v", w.cfg.Name, l.Cell.ID(), err)

@@ -245,6 +245,17 @@ func (s *prepStore) need(key prepKey, n int) {
 	}
 }
 
+// keep drops every resident frame but key's, or every one when !ok.
+func (s *prepStore) keep(key prepKey, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.resident {
+		if !ok || k != key {
+			s.drop(k)
+		}
+	}
+}
+
 // drop forgets a resident frame. Callers hold s.mu.
 func (s *prepStore) drop(key prepKey) {
 	s.used -= s.resident[key].size

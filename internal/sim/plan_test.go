@@ -247,3 +247,43 @@ func TestPrepStoreEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Errorf("preparations %d/%d hits/misses, want 1/4 (CCS rebuilt after its eviction)", tm.PrepHits, tm.PrepMisses)
 	}
 }
+
+// TestKeepFrameOfHoldsOneFrame: KeepFrameOf before each cell leaves the
+// runner holding only the frame that cell reads. A cell of another
+// frame leaves one frame resident, a new cell of a dropped frame
+// prepares it again, and a cell of the held frame changes nothing.
+func TestKeepFrameOfHoldsOneFrame(t *testing.T) {
+	r := NewRunner(ScaledOptions(16))
+	s := r.prepStoreLazy()
+	for i, step := range []struct {
+		cell   CellSpec
+		misses uint64 // preparations after the cell
+		held   string // the one resident frame after the cell
+	}{
+		{CellSpec{Bench: "TRu", Policy: "baseline"}, 1, "TRu"},
+		{CellSpec{Bench: "CCS", Policy: "baseline"}, 2, "CCS"},
+		{CellSpec{Bench: "TRu", Policy: "DTexL"}, 3, "TRu"},
+		{CellSpec{Bench: "TRu", Policy: upperBoundName, UpperBound: true}, 3, "TRu"},
+	} {
+		r.KeepFrameOf(step.cell)
+		if _, err := r.RunCell(t.Context(), step.cell); err != nil {
+			t.Fatal(err)
+		}
+		var held []string
+		for pk := range s.resident {
+			held = append(held, pk.Alias)
+		}
+		if tm := r.Timing(); tm.PrepMisses != step.misses || len(held) != 1 || held[0] != step.held || len(s.frames.flights) != 1 {
+			t.Errorf("after cell %d (%s): %d preparations, resident %v, %d in the memo; want %d, [%s], 1",
+				i, step.cell.ID(), tm.PrepMisses, held, len(s.frames.flights), step.misses, step.held)
+		}
+	}
+	// A cell that reads no prepared frame drops the one held.
+	r.KeepFrameOf(CellSpec{Bench: "TRu", Policy: "baseline", IMR: true})
+	if len(s.resident) != 0 || s.used != 0 || len(s.frames.flights) != 0 {
+		t.Errorf("after an IMR cell's KeepFrameOf: %d resident (%d bytes), %d in the memo; want none", len(s.resident), s.used, len(s.frames.flights))
+	}
+	if tm := r.Timing(); tm.PeakPrepared != 1 {
+		t.Errorf("PeakPrepared = %d, want 1", tm.PeakPrepared)
+	}
+}

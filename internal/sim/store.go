@@ -186,7 +186,10 @@ func (s *Store) record(key simKey, result any) error {
 // RecordCellResult verifies and persists a result payload produced by a
 // fleet worker for the given suite cell: the raw bytes must parse as a
 // complete result, and they are stored exactly as received so the
-// worker's float encoding is preserved bit for bit.
+// worker's float encoding is preserved bit for bit. When the store
+// already holds a valid entry for the cell — a worker sharing the
+// directory has just recorded the same deterministic bytes — nothing
+// is written.
 func (s *Store) RecordCellResult(opt Options, c CellSpec, resultBytes []byte) error {
 	var res simResult
 	if err := json.Unmarshal(resultBytes, &res); err != nil || res.Metrics == nil {
@@ -195,6 +198,9 @@ func (s *Store) RecordCellResult(opt Options, c CellSpec, resultBytes []byte) er
 	key, _, err := cellKey(opt, c)
 	if err != nil {
 		return err
+	}
+	if _, ok := s.lookup(key, false); ok {
+		return nil
 	}
 	return s.record(key, json.RawMessage(resultBytes))
 }
@@ -220,13 +226,22 @@ func (s *Store) Stats() StoreStats {
 }
 
 // Len counts the entries currently on disk (excluding in-flight temp
-// files).
+// files). It lists the directory, so any store path works, glob
+// metacharacters included.
 func (s *Store) Len() (int, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
+	ents, err := os.ReadDir(s.dir)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("sim: store len: %w", err)
 	}
-	return len(names), nil
+	n := 0
+	for _, de := range ents {
+		// As in GC: the coordinator's snapshot and claims have no .json
+		// suffix.
+		if fn := de.Name(); strings.HasSuffix(fn, ".json") && !strings.HasPrefix(fn, durable.TempPrefix) {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // GCPolicy bounds the store's disk footprint. Zero fields are

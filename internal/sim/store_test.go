@@ -300,6 +300,67 @@ func TestSuiteCellsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSuiteCellsShareOneFrame: every suite cell of a benchmark reads the
+// same prepared frame, and no two benchmarks share one — the fleet
+// leases frame by frame on CellSpec.Bench, so its frame rule rests on
+// this.
+func TestSuiteCellsShareOneFrame(t *testing.T) {
+	for _, div := range []int{1, 4, 8} {
+		opt := ScaledOptions(div)
+		frames := map[string]prepKey{}
+		for _, c := range SuiteCells(opt) {
+			key, _, err := cellKey(opt, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pk, ok := key.prepKey()
+			if !ok {
+				t.Errorf("scale %d: %s reads no prepared frame", div, c.ID())
+				continue
+			}
+			if first, seen := frames[c.Bench]; !seen {
+				frames[c.Bench] = pk
+			} else if pk != first {
+				t.Errorf("scale %d: %s reads frame %+v, other cells of %s read %+v", div, c.ID(), pk, c.Bench, first)
+			}
+		}
+		distinct := map[prepKey]bool{}
+		for _, pk := range frames {
+			distinct[pk] = true
+		}
+		if len(frames) != len(opt.aliases()) || len(distinct) != len(frames) {
+			t.Errorf("scale %d: %d benchmarks read %d distinct frames, want one each for %d", div, len(frames), len(distinct), len(opt.aliases()))
+		}
+	}
+}
+
+// TestStoreLenGlobMetacharacters: Len counts the entries of a store
+// whose path holds glob metacharacters, and skips temp files and the
+// coordinator's snapshot.
+func TestStoreLenGlobMetacharacters(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs[1]*")
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := storeOptions()
+	key, _, err := cellKey(opt, CellSpec{Bench: "TRu", Policy: "baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.record(key, &simResult{Metrics: &pipeline.Metrics{}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{durable.TempPrefix + "x.json", "coordinator.snapshot"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := st.Len(); err != nil || n != 1 {
+		t.Errorf("Len() = %d, %v; want 1", n, err)
+	}
+}
+
 // TestStoreResumeByteIdentical: an interrupted suite (its store holding
 // only part of the results) resumed under a fresh runner renders text
 // and CSV byte-identical to an uninterrupted run.

@@ -124,10 +124,11 @@ func (c CellSpec) ResolvePolicy() (core.Policy, bool, error) {
 }
 
 // SuiteCells enumerates every simulation the paper's figures need under
-// the given options as serializable cells, in deterministic order. This
-// is the unit of fleet sharding: a coordinator leases these cells to
-// workers, and completing all of them lets every figure render without
-// further simulation.
+// the given options as serializable cells, in deterministic order,
+// grouped by benchmark. This is the fleet's work list: a coordinator
+// leases these cells to workers, and completing all of them lets every
+// figure render without further simulation. All cells of one benchmark
+// read one prepared frame.
 func SuiteCells(opt Options) []CellSpec {
 	var cells []CellSpec
 	seen := map[string]bool{}
@@ -189,4 +190,15 @@ func (r *Runner) RunCell(ctx context.Context, c CellSpec) (*RunResult, error) {
 		return nil, err
 	}
 	return r.simulate(ctx, key, pol, false)
+}
+
+// KeepFrameOf drops every resident prepared frame that c does not read
+// (all of them when c reads none, or does not resolve), so a runner
+// that computes one cell at a time holds one frame. The fleet worker
+// calls it before each leased cell; a cell of a dropped frame prepares
+// it again.
+func (r *Runner) KeepFrameOf(c CellSpec) {
+	key, _, err := cellKey(r.Opt, c)
+	pk, ok := key.prepKey()
+	r.prepStoreLazy().keep(pk, ok && err == nil)
 }
