@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dtexl/internal/pipeline"
 	"dtexl/internal/sched"
@@ -110,33 +111,35 @@ func GroupingPolicies() []Policy {
 	return out
 }
 
+// policyNames lists every named policy and policyByName resolves each
+// name. Both are built once, because PolicyByName runs on every served
+// request.
+var policyNames, policyByName = policyTable()
+
+func policyTable() ([]string, map[string]Policy) {
+	all := append([]Policy{Baseline(), BaselineDecoupled(), DTexL()}, Fig8Mappings()...)
+	all = append(all, GroupingPolicies()...)
+	names := make([]string, len(all))
+	byName := make(map[string]Policy, len(all))
+	for i, p := range all {
+		names[i] = p.Name
+		byName[p.Name] = p
+	}
+	return names, byName
+}
+
 // PolicyByName resolves a policy by its figure-style name, accepting the
 // named proposals, the Fig. 8 mappings and the Fig. 6 groupings.
 func PolicyByName(name string) (Policy, error) {
-	candidates := []Policy{Baseline(), BaselineDecoupled(), DTexL()}
-	candidates = append(candidates, Fig8Mappings()...)
-	candidates = append(candidates, GroupingPolicies()...)
-	for _, p := range candidates {
-		if p.Name == name {
-			return p, nil
-		}
+	if p, ok := policyByName[name]; ok {
+		return p, nil
 	}
 	return Policy{}, fmt.Errorf("core: unknown policy %q", name)
 }
 
 // PolicyNames lists every named policy.
 func PolicyNames() []string {
-	var names []string
-	for _, p := range []Policy{Baseline(), BaselineDecoupled(), DTexL()} {
-		names = append(names, p.Name)
-	}
-	for _, p := range Fig8Mappings() {
-		names = append(names, p.Name)
-	}
-	for _, p := range GroupingPolicies() {
-		names = append(names, p.Name)
-	}
-	return names
+	return slices.Clone(policyNames)
 }
 
 // ApplyUpperBound rewrites cfg into the Fig. 16 upper-bound machine: a

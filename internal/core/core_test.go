@@ -106,6 +106,37 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
+// TestPolicyByNameAllocFree: the service resolves a policy on every
+// request, so every name must round-trip through a table built once,
+// without allocating.
+func TestPolicyByNameAllocFree(t *testing.T) {
+	want := []Policy{Baseline(), BaselineDecoupled(), DTexL()}
+	want = append(append(want, Fig8Mappings()...), GroupingPolicies()...)
+	names := PolicyNames()
+	if len(names) != len(want) {
+		t.Fatalf("%d policy names, want %d", len(names), len(want))
+	}
+	for i, p := range want {
+		if names[i] != p.Name {
+			t.Errorf("PolicyNames()[%d] = %q, want %q", i, names[i], p.Name)
+		}
+		if got, err := PolicyByName(p.Name); err != nil || got != p {
+			t.Errorf("PolicyByName(%q) = %+v, %v; want %+v", p.Name, got, err, p)
+		}
+	}
+	bad := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, name := range names {
+			if p, err := PolicyByName(name); err != nil || p.Name != name {
+				bad++
+			}
+		}
+	})
+	if bad != 0 || allocs != 0 {
+		t.Errorf("%d failed lookups, %v allocations per %d lookups; want 0 and 0", bad, allocs, len(names))
+	}
+}
+
 func TestApplyUpperBound(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	orig := cfg.Hierarchy.L1Tex.SizeBytes

@@ -1,12 +1,13 @@
 // Package serve is the simulation service: it exposes the sim.Runner
 // memo stack over HTTP and is built to stay correct under overload.
-// Admission control bounds concurrent work (queue + slots), per-request
-// deadlines flow into the executors, degradable requests shed fidelity
-// instead of availability, concurrent identical requests coalesce into
-// one in-flight run that survives any single client's cancellation
-// (coalesce.go, DESIGN.md §11), and SIGTERM drains in-flight work
-// while the result store keeps every finished cell. See DESIGN.md,
-// "Serving & overload".
+// A cell already complete in the memo is answered at once. For every
+// other cell admission control bounds concurrent work (queue + slots),
+// per-request deadlines flow into the executors, degradable requests
+// shed fidelity instead of availability, and concurrent identical
+// requests coalesce into one in-flight run that survives any single
+// client's cancellation (coalesce.go, DESIGN.md §11). SIGTERM drains
+// in-flight work while the result store keeps every finished cell. See
+// DESIGN.md, "Serving & overload".
 package serve
 
 import (

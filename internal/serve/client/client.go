@@ -202,13 +202,13 @@ func (c *Client) once(ctx context.Context, body []byte) (*serve.SimResponse, err
 		return nil, err
 	}
 	defer hres.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(hres.Body, 64<<20))
+	raw, err := readBody(hres)
 	if err != nil {
 		return nil, err
 	}
 	if hres.StatusCode == http.StatusOK {
 		var out serve.SimResponse
-		if err := json.Unmarshal(raw, &out); err != nil {
+		if _, err := decode(raw, &out); err != nil {
 			return nil, fmt.Errorf("client: bad 200 body: %w", err)
 		}
 		return &out, nil
@@ -223,6 +223,23 @@ func (c *Client) once(ctx context.Context, body []byte) (*serve.SimResponse, err
 		}
 	}
 	return nil, apiErr
+}
+
+// maxBody bounds the bytes read from one response.
+const maxBody = 64 << 20
+
+// readBody reads a response body of at most maxBody bytes: into one
+// buffer of exactly the announced size when the server sent a
+// Content-Length (the service does for 200 bodies), else by io.ReadAll.
+func readBody(hres *http.Response) ([]byte, error) {
+	if n := hres.ContentLength; n >= 0 && n <= maxBody {
+		raw := make([]byte, n)
+		if _, err := io.ReadFull(hres.Body, raw); err != nil {
+			return nil, err
+		}
+		return raw, nil
+	}
+	return io.ReadAll(io.LimitReader(hres.Body, maxBody))
 }
 
 // outcome classifies one attempt for retry and breaker decisions.

@@ -111,6 +111,25 @@ func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (val V
 	}
 }
 
+// peek returns key's value when its flight has completed without error,
+// counting a hit. It never waits and never computes.
+func (m *memo[K, V]) peek(key K) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if f, ok := m.flights[key]; ok {
+		select {
+		case <-f.done:
+			if f.err == nil {
+				m.hits++
+				return f.val, true
+			}
+		default:
+		}
+	}
+	var zero V
+	return zero, false
+}
+
 // forget drops key's entry, so the next call computes it afresh. A
 // flight still running finishes for the callers already waiting on it.
 func (m *memo[K, V]) forget(key K) {

@@ -67,6 +67,92 @@ func TestMemoErrorEntryRemoved(t *testing.T) {
 	}
 }
 
+// TestMemoPeekNeverWaits: peek serves only a completed, successful
+// flight. An absent key, a flight still running and a failed one are
+// misses it reports at once, without waiting or computing, and only a
+// served peek counts a hit.
+func TestMemoPeekNeverWaits(t *testing.T) {
+	m := newMemo[string, int]()
+	if _, ok := m.peek("k"); ok {
+		t.Fatal("peek served an absent key")
+	}
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		m.do(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-release
+			return 7, nil
+		})
+	}()
+	<-started
+	if _, ok := m.peek("k"); ok {
+		t.Fatal("peek served a flight still running")
+	}
+	close(release)
+	<-done
+	if v, ok := m.peek("k"); !ok || v != 7 {
+		t.Fatalf("peek of a completed flight = %d, %v; want 7, true", v, ok)
+	}
+	m.do(context.Background(), "bad", func() (int, error) { return 0, errors.New("boom") })
+	if _, ok := m.peek("bad"); ok {
+		t.Fatal("peek served a failed flight")
+	}
+	if hits, misses := m.stats(); hits != 1 || misses != 2 {
+		t.Errorf("hits/misses = %d/%d, want 1/2", hits, misses)
+	}
+}
+
+// TestRunnerMemoizedReadsOnlyTheMemo: Memoized answers from the
+// simulation memo alone. A cell held only by the store is a miss that
+// leaves the store untouched; once a run has memoized it, Memoized
+// returns the same result under the caller's policy label and counts a
+// memo hit without computing.
+func TestRunnerMemoizedReadsOnlyTheMemo(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ScaledOptions(16)
+	opt.Benchmarks = []string{"TRu"}
+	pol := core.DTexL()
+	w := NewRunner(opt)
+	w.Store = store
+	if _, err := w.RunOneCtx(context.Background(), "TRu", pol, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner(opt)
+	r.Store = store
+	before := store.Stats()
+	if _, ok := r.Memoized("TRu", pol); ok {
+		t.Fatal("Memoized served a cell only the store holds")
+	}
+	if after := store.Stats(); after != before {
+		t.Fatalf("Memoized touched the store: %+v → %+v", before, after)
+	}
+	got, err := r.RunOneCtx(context.Background(), "TRu", pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, ok := r.Memoized("TRu", pol)
+	if !ok || hit.Metrics != got.Metrics || hit.Energy != got.Energy || hit.Bench != "TRu" || hit.Policy != pol {
+		t.Fatalf("Memoized = %+v, %v; want the memoized %+v", hit, ok, got)
+	}
+	// HLB-flp2 configures the same machine as DTexL: one memo entry,
+	// served under the caller's label.
+	flp2, err := core.PolicyByName("HLB-flp2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alias, ok := r.Memoized("TRu", flp2); !ok || alias.Metrics != got.Metrics || alias.Policy != flp2 {
+		t.Fatalf("Memoized under HLB-flp2 = %+v, %v", alias, ok)
+	}
+	if tm := r.Timing(); tm.SimHits != 2 || tm.SimMisses != 1 {
+		t.Errorf("simulations hits/misses = %d/%d, want 2/1", tm.SimHits, tm.SimMisses)
+	}
+}
+
 func TestMemoPanicReleasesWaiters(t *testing.T) {
 	m := newMemo[int, int]()
 	func() {

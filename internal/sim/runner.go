@@ -161,6 +161,20 @@ func (r *Runner) RunOneCtx(reqCtx context.Context, alias string, pol core.Policy
 	return r.simulate(reqCtx, key, pol, false)
 }
 
+// Memoized returns the result RunOneCtx would return for alias under
+// pol (with no mutation) when the simulation memo already holds it
+// complete: the serving path answers warm cells from it without a
+// flight or an admission slot. It never waits on a run in progress,
+// never computes and never reads the store; a hit counts in
+// Timing().SimHits like any other memo hit.
+func (r *Runner) Memoized(alias string, pol core.Policy) (*RunResult, bool) {
+	res, ok := r.sims.peek(newSimKey(r.Opt, alias, pol))
+	if !ok {
+		return nil, false
+	}
+	return &RunResult{Bench: alias, Policy: pol, Metrics: res.Metrics, Energy: res.Energy}, true
+}
+
 // simulate returns the memoized result of key, run under pol's label:
 // from the memo, the store, or a fresh run. planned marks a cell Warm
 // queued (see prepStore.need).
