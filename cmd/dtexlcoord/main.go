@@ -10,15 +10,15 @@
 // renders the requested experiment tables from the store —
 // byte-identical to a serial dtexlbench run.
 //
-// The coordinator is highly available: it periodically snapshots its
-// authoritative state (leases, retry budgets, quarantine decisions,
-// counters) into the store directory, and a second dtexlcoord started
-// with -standby against the same store watches the current epoch's
-// claim file (coordinator.claim.N), which the primary renews. When
-// the primary dies and its claim goes stale, the standby claims epoch
-// N+1, fencing the old one, replays the snapshot plus the store's
-// completed results, and takes over; workers re-register with their
-// in-flight lease tokens and no cell is double-counted or lost.
+// The coordinator is highly available, and the store is its state: a
+// second dtexlcoord started with -standby against the same store
+// watches the current epoch's claim file (coordinator.claim.N), which
+// the primary renews. When the primary dies and its claim goes stale,
+// the standby claims epoch N+1, fencing the old one, scans the store
+// for completed cells exactly as a fresh coordinator does, and takes
+// over. Workers re-register once each; a cell that was running at the
+// failover may be granted again, and its first holder's report is
+// accepted as a late result, so no cell is lost.
 //
 // Usage:
 //
@@ -86,7 +86,6 @@ func run() int {
 		standby   = flag.Bool("standby", false, "start as a hot standby: serve 503 and watch the epoch claim file, taking over only when the primary's claim goes stale")
 		leaseIvl  = flag.Duration("lease-interval", fleet.DefaultLeaseInterval, "epoch claim renewal (primary) and poll (standby) cadence")
 		leaseTmo  = flag.Duration("lease-timeout", 0, "age of the last claim renewal past which a standby seizes the next epoch (0 = 4x -lease-interval)")
-		snapIvl   = flag.Duration("snapshot-interval", fleet.DefaultSnapshotInterval, "cadence of fsync'd state snapshots into the store directory")
 		verbose   = flag.Bool("v", false, "log per-event lines")
 	)
 	var auth netauth.Flags
@@ -143,12 +142,11 @@ func run() int {
 			StealAfter:        *stealAft,
 			Logf:              logf,
 		},
-		NodeID:           node,
-		Standby:          *standby,
-		LeaseInterval:    *leaseIvl,
-		LeaseTimeout:     *leaseTmo,
-		SnapshotInterval: *snapIvl,
-		Logf:             func(format string, args ...any) { log.Printf(format, args...) },
+		NodeID:        node,
+		Standby:       *standby,
+		LeaseInterval: *leaseIvl,
+		LeaseTimeout:  *leaseTmo,
+		Logf:          func(format string, args ...any) { log.Printf(format, args...) },
 	})
 	if err != nil {
 		log.Printf("dtexlcoord: %v", err)
@@ -272,8 +270,8 @@ func run() int {
 		}
 	}
 
-	// Cancel the HA loop first: the primary takes a final snapshot on
-	// the way out so a successor resumes from the freshest state.
+	// Stop the HA loop, which renews the epoch claim, then drain the
+	// server.
 	cancel()
 	select {
 	case <-runErr:
@@ -285,9 +283,9 @@ func run() int {
 		httpSrv.Close()
 	}
 	if !settled && code == 0 {
-		// Interrupted mid-sweep: completed cells are durable in the store
-		// and the final snapshot preserves lease/budget state, so a
-		// restarted or standby coordinator resumes where this one stopped.
+		// Interrupted mid-sweep: completed cells are durable in the store,
+		// so a restarted or standby coordinator resumes where this one
+		// stopped.
 		if coord := ha.Coordinator(); coord != nil {
 			st := coord.Stats()
 			fmt.Fprintf(os.Stderr, "dtexlcoord: interrupted with %d/%d cells done (resumable from the store)\n", st.Done, st.Cells)

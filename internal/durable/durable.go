@@ -1,9 +1,8 @@
 // Package durable is the one on-disk record format: every file the
-// system persists (a result-store entry, the coordinator snapshot, an
-// epoch claim, a perf-database batch) is one record {"key", "sum",
-// "result"} written whole by WriteFile, where sum is the CRC-64 (ECMA)
-// of the result bytes and the optional key is an identity the reader
-// checks itself. Nothing is appended to, so a crash leaves the previous
+// system persists (a result-store entry, an epoch claim, a
+// perf-database batch) is one record {"key", "sum", "result"} written
+// whole by WriteFile, where sum is the CRC-64 (ECMA) of the result
+// bytes and the optional key is an identity the reader checks itself. Nothing is appended to, so a crash leaves the previous
 // record or an orphaned temp file, never a torn tail.
 package durable
 

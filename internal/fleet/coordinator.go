@@ -39,13 +39,8 @@ type CoordinatorConfig struct {
 	// (results are checksummed and idempotent). Zero means epochs are
 	// not enforced (single-coordinator deployments).
 	Epoch uint64
-	// NodeID labels this coordinator process in stats and snapshots.
+	// NodeID labels this coordinator process in stats.
 	NodeID string
-	// Resume, when non-nil, replays a snapshot from a previous epoch:
-	// retry budgets, quarantine decisions, failure counters and in-flight
-	// leases. Completions always come from the store scan, which outranks
-	// the snapshot.
-	Resume *SnapshotState
 	// Logf, when non-nil, receives one line per fleet event.
 	Logf func(format string, args ...any)
 
@@ -87,9 +82,13 @@ const (
 type cell struct {
 	spec     sim.CellSpec
 	state    cellState
-	attempts int               // lease grants from pending (steals excluded)
-	leases   map[string]*lease // active leases; >1 only while stolen
-	errors   []string          // failure reports, newest last (capped)
+	attempts int      // lease grants from pending (steals excluded)
+	errors   []string // failure reports, newest last (capped)
+	// leases are the cell's active leases, >1 only while stolen.
+	// Reports look their lease up here, not in Coordinator.leases: a
+	// lease ID counts only together with its cell, since a report from
+	// an earlier epoch can name an ID reissued on another cell.
+	leases map[string]*lease
 }
 
 type lease struct {
@@ -154,8 +153,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	scan := err != nil || n > 0
 	for _, spec := range sim.SuiteCells(cfg.Opt) {
 		cl := &cell{spec: spec, leases: make(map[string]*lease)}
-		// Resume: a valid store entry settles the cell before any worker
-		// sees it. Corrupt entries are dropped by the scan and recomputed.
+		// A valid store entry settles the cell before any worker sees
+		// it. Corrupt entries are dropped by the scan and recomputed.
 		if scan && cfg.Store.HasCell(cfg.Opt, spec) {
 			cl.state = cellDone
 			c.primed++
@@ -169,14 +168,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c.cfg.Logf("fleet: coordinator up (epoch %d): %d cells (%d primed from store), heartbeat %v (timeout %v), retry budget %d, steal after %v",
 		cfg.Epoch, len(c.cells), c.primed, cfg.HeartbeatInterval, cfg.HeartbeatTimeout, cfg.RetryBudget, cfg.StealAfter)
-	if cfg.Resume != nil {
-		c.mu.Lock()
-		c.restoreLocked(cfg.Resume, cfg.now())
-		c.mu.Unlock()
-	}
-	c.mu.Lock()
-	c.checkDoneLocked()
-	c.mu.Unlock()
+	c.checkDoneLocked() // c is not shared yet
 	return c, nil
 }
 
@@ -289,13 +281,9 @@ func (c *Coordinator) pendingLocked(w *workerState) *cell {
 	return first
 }
 
-// register admits a worker and hands it the suite contract.
-// Registration is always accepted, whatever epoch the worker last saw —
-// it is exactly how a worker crosses a failover. Held leases that still
-// exist (typically restored from a snapshot under the worker's previous
-// ID) are transferred to the new identity with their lease tokens and
-// retry accounting intact: resuming in-flight work across an epoch
-// never charges the cell's retry budget.
+// register admits a worker under a fresh ID and hands it the suite
+// contract. Registration is always accepted, whatever epoch the worker
+// last saw: it is exactly how a worker crosses a failover.
 func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -309,28 +297,13 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 		leases:   make(map[string]*lease),
 	}
 	c.workers[w.id] = w
-	resp := RegisterResponse{
+	c.cfg.Logf("fleet: worker %s registered as %s (epoch %d)", req.Name, w.id, c.cfg.Epoch)
+	return RegisterResponse{
 		WorkerID:            w.id,
 		Epoch:               c.cfg.Epoch,
 		HeartbeatIntervalMS: c.cfg.HeartbeatInterval.Milliseconds(),
 		Options:             c.cfg.Opt,
 	}
-	for _, h := range req.Held {
-		l := c.leases[h.LeaseID]
-		if l == nil || l.cell.spec.ID() != h.Cell.ID() {
-			continue // lease already settled or reassigned; worker's report will land late
-		}
-		if ow := c.workers[l.worker]; ow != nil {
-			delete(ow.leases, l.id)
-		}
-		l.worker = w.id
-		w.leases[l.id] = l
-		w.bench = l.cell.spec.Bench
-		resp.Resumed = append(resp.Resumed, l.id)
-		c.cfg.Logf("fleet: worker %s resumes lease %s on cell %s across re-registration", w.id, l.id, l.cell.spec.ID())
-	}
-	c.cfg.Logf("fleet: worker %s registered as %s (epoch %d, %d lease(s) resumed)", req.Name, w.id, c.cfg.Epoch, len(resp.Resumed))
-	return resp
 }
 
 // heartbeat renews liveness. ok=false means the worker is unknown or
@@ -444,7 +417,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	if err != nil {
 		c.rejectedResults++
 		c.cfg.Logf("fleet: rejected result for cell %s from %s: %v", cl.spec.ID(), req.WorkerID, err)
-		if l := c.leases[req.LeaseID]; l != nil && l.cell == cl {
+		if l := cl.leases[req.LeaseID]; l != nil {
 			c.releaseLeaseLocked(l, "rejected_result")
 		}
 		return err
@@ -453,7 +426,7 @@ func (c *Coordinator) complete(req CompleteRequest) error {
 	if w := c.workers[req.WorkerID]; w != nil {
 		w.completed++
 	}
-	if c.leases[req.LeaseID] == nil || cl.state == cellDone {
+	if cl.leases[req.LeaseID] == nil || cl.state == cellDone {
 		c.lateResults++
 		c.cfg.Logf("fleet: late result for cell %s from %s accepted", cl.spec.ID(), req.WorkerID)
 	}
@@ -487,21 +460,22 @@ func (c *Coordinator) fail(req FailRequest) {
 	defer c.mu.Unlock()
 	c.expireLocked(c.cfg.now())
 	cl := c.byID[req.Cell.ID()]
-	if cl != nil {
-		cl.errors = append(cl.errors, req.Error)
-		if len(cl.errors) > 4 {
-			cl.errors = cl.errors[len(cl.errors)-4:]
-		}
+	if cl == nil {
+		return
 	}
-	l := c.leases[req.LeaseID]
+	cl.errors = append(cl.errors, req.Error)
+	if len(cl.errors) > 4 {
+		cl.errors = cl.errors[len(cl.errors)-4:]
+	}
+	l := cl.leases[req.LeaseID]
 	if l == nil {
-		return // lease already reassigned; nothing to release
+		return // lease already settled or reassigned; nothing to release
 	}
-	c.cfg.Logf("fleet: worker %s failed cell %s: %s", req.WorkerID, l.cell.spec.ID(), req.Error)
+	c.cfg.Logf("fleet: worker %s failed cell %s: %s", req.WorkerID, cl.spec.ID(), req.Error)
 	c.releaseLeaseLocked(l, "failure")
 }
 
-// Stats snapshots the sweep.
+// Stats returns the live picture of the sweep.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

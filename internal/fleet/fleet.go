@@ -33,33 +33,17 @@ const (
 
 // RegisterRequest announces a worker. Names are labels, not identities:
 // re-registering after a partition or failover yields a fresh worker ID.
-// Held carries the worker's in-flight leases so a registration across a
-// coordinator epoch can resume them (lease-token continuity) instead of
-// burning retry budget on work that is still running.
 type RegisterRequest struct {
-	Name string      `json:"name"`
-	Held []HeldLease `json:"held,omitempty"`
-}
-
-// HeldLease is one in-flight lease a re-registering worker presents for
-// adoption.
-type HeldLease struct {
-	LeaseID string       `json:"lease_id"`
-	Cell    sim.CellSpec `json:"cell"`
-	// Epoch is the coordinator epoch that granted the lease; informative
-	// only — adoption matches on lease ID + cell.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Name string `json:"name"`
 }
 
 // RegisterResponse hands the worker its identity and the suite contract:
 // the exact simulation options every cell key derives from, the
 // heartbeat interval the coordinator expects, and the coordinator's
 // fencing epoch the worker must echo on heartbeats and lease requests.
-// Resumed lists the held lease IDs the coordinator adopted.
 type RegisterResponse struct {
 	WorkerID            string      `json:"worker_id"`
 	Epoch               uint64      `json:"epoch,omitempty"`
-	Resumed             []string    `json:"resumed,omitempty"`
 	HeartbeatIntervalMS int64       `json:"heartbeat_interval_ms"`
 	Options             sim.Options `json:"options"`
 }

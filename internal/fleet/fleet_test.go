@@ -350,6 +350,46 @@ func TestCorruptResultRejected(t *testing.T) {
 	}
 }
 
+// TestLeaseIDCountsOnlyWithItsCell: a report names a lease and a cell,
+// and the lease counts only when it is on that cell. A fail report
+// naming another cell's live lease (after a failover, an ID from an
+// earlier epoch that the successor has reissued) releases nothing, and
+// a completion under such an ID is a late result that leaves the other
+// lease live.
+func TestLeaseIDCountsOnlyWithItsCell(t *testing.T) {
+	c, _ := newTestCoordinator(t, CoordinatorConfig{HeartbeatTimeout: time.Hour})
+	a := c.register(RegisterRequest{Name: "a"})
+	b := c.register(RegisterRequest{Name: "b"})
+	ga, okA, _ := c.lease(a.WorkerID, 0)
+	gb, okB, _ := c.lease(b.WorkerID, 0)
+	if !okA || !okB || ga.LeaseID == "" || gb.LeaseID == "" || ga.Cell.ID() == gb.Cell.ID() {
+		t.Fatalf("grants %+v and %+v; want two leases on two cells", ga, gb)
+	}
+
+	c.fail(FailRequest{WorkerID: b.WorkerID, LeaseID: ga.LeaseID, Cell: gb.Cell, Error: "injected"})
+	if st := c.Stats(); st.Reassigned != 0 || st.Leased != 2 {
+		t.Fatalf("fail report of %s on %s released a lease: leased %d, reassignments %+v",
+			ga.LeaseID, gb.Cell.ID(), st.Leased, st.Reassignments)
+	}
+	c.fail(FailRequest{WorkerID: b.WorkerID, LeaseID: gb.LeaseID, Cell: gb.Cell, Error: "injected"})
+	st := c.Stats()
+	if st.Reassigned != 1 || st.Leased != 1 || st.Reassignments[0].LeaseID != gb.LeaseID || st.Reassignments[0].Reason != "failure" {
+		t.Fatalf("after b's own fail report: leased %d, reassignments %+v; want only %s released for failure",
+			st.Leased, st.Reassignments, gb.LeaseID)
+	}
+
+	payload := []byte(`{"Metrics":{}}`)
+	if err := c.complete(CompleteRequest{
+		WorkerID: b.WorkerID, LeaseID: ga.LeaseID, Cell: gb.Cell, Result: payload, Sum: durable.Sum(payload),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.LateResults != 1 || st.Done != 1 || st.Leased != 1 {
+		t.Errorf("completion of %s under %s: late %d, done %d, leased %d; want 1, 1, 1",
+			gb.Cell.ID(), ga.LeaseID, st.LateResults, st.Done, st.Leased)
+	}
+}
+
 // TestPartitionedWorkerLateResult: a worker that goes silent holding a
 // finished result loses the lease, reports late after the partition
 // heals, re-registers, and the suite still completes byte-identical.

@@ -16,20 +16,17 @@ import (
 )
 
 // ErrHalted is returned by Run after Halt: the node stopped abruptly,
-// with no final snapshot and no lease handoff.
+// with no handoff.
 var ErrHalted = errors.New("fleet: ha node halted")
 
-// Defaults for HAConfig.
-const (
-	DefaultLeaseInterval    = 500 * time.Millisecond
-	DefaultSnapshotInterval = 1 * time.Second
-)
+// DefaultLeaseInterval is HAConfig's default LeaseInterval.
+const DefaultLeaseInterval = 500 * time.Millisecond
 
 // claimPrefix names epoch N's claim file, claimPrefix+N, in the shared
-// store directory. Like the snapshot it does not end in .json, so the
-// store's Len and GC never touch it. Creating the file decides the
-// epoch (durable.Claim), and the winner's renewals fill it. Claim files
-// are tiny and one per failover, so they stay as an audit trail.
+// store directory. It does not end in .json, so the store's Len and GC
+// never touch it. Creating the file decides the epoch (durable.Claim),
+// and the winner's renewals fill it. Claim files are tiny and one per
+// failover, so they stay as an audit trail.
 const claimPrefix = "coordinator.claim."
 
 // epochClaim is the record in a claim file: the node holding the epoch
@@ -72,10 +69,12 @@ func latestClaim(dir string) (epoch uint64, c epochClaim, err error) {
 }
 
 // HAConfig configures one coordinator node in a highly-available pair
-// (or larger set). All nodes share the store directory; the epoch claims
-// and the snapshot live there.
+// (or larger set). All nodes share the store directory, and the epoch
+// claims live there beside the results: the store and the claims are
+// the whole durable state, and a new epoch's coordinator is built from
+// the store scan exactly as a fresh one is.
 type HAConfig struct {
-	// Coordinator is the base coordinator configuration. Epoch and Resume
+	// Coordinator is the base coordinator configuration. Epoch and NodeID
 	// are owned by the HA layer and overwritten on activation.
 	Coordinator CoordinatorConfig
 	// NodeID names this process in its epoch claim and stats.
@@ -90,9 +89,6 @@ type HAConfig struct {
 	// epoch; default 4×LeaseInterval. Must comfortably exceed the renewal
 	// cadence plus worst-case fsync stalls.
 	LeaseTimeout time.Duration
-	// SnapshotInterval is the primary's snapshot cadence; default 1s. A
-	// final snapshot is also taken when the suite completes.
-	SnapshotInterval time.Duration
 	// Logf, when non-nil, receives one line per HA event.
 	Logf func(format string, args ...any)
 }
@@ -103,9 +99,6 @@ func (c HAConfig) withDefaults() HAConfig {
 	}
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 4 * c.LeaseInterval
-	}
-	if c.SnapshotInterval <= 0 {
-		c.SnapshotInterval = DefaultSnapshotInterval
 	}
 	if c.NodeID == "" {
 		c.NodeID = "coord"
@@ -143,10 +136,9 @@ func NewHA(cfg HAConfig) (*HA, error) {
 	return &HA{cfg: cfg, done: make(chan struct{}), halt: make(chan struct{})}, nil
 }
 
-// Halt stops the node as a crash would: claim renewals, snapshots and
-// serving all cease immediately, with no final snapshot and no handoff.
-// The in-process stand-in for SIGKILL in failover tests and chaos
-// drills; Run returns ErrHalted.
+// Halt stops the node as a crash would: claim renewals and serving
+// cease immediately, with no handoff. The in-process stand-in for
+// SIGKILL in failover tests and chaos drills; Run returns ErrHalted.
 func (h *HA) Halt() {
 	h.haltOnce.Do(func() { close(h.halt) })
 }
@@ -262,40 +254,35 @@ func (h *HA) renewClaim(dir string, epoch uint64) error {
 	return durable.WriteRecord(claimPath(dir, epoch), nil, c)
 }
 
-// serveEpoch activates the coordinator for one epoch: replay the
-// snapshot plus the store scan, then renew the claim and snapshot on a
-// cadence until fenced (returns nil) or ctx ends (returns ctx.Err()).
+// serveEpoch activates a coordinator for one epoch, then renews the
+// claim on a cadence until fenced (returns nil) or ctx ends (returns
+// ctx.Err()). Retry budgets, quarantine verdicts and counters start
+// afresh each epoch; a cell that was running when the previous holder
+// died is granted again, and its first holder's report lands as a late
+// result.
 func (h *HA) serveEpoch(ctx context.Context, dir string, epoch uint64) error {
 	if err := h.renewClaim(dir, epoch); err != nil {
 		return fmt.Errorf("fleet: ha %s: epoch claim write: %w", h.cfg.NodeID, err)
 	}
-	snap, err := LoadSnapshot(dir)
-	if err != nil {
-		h.cfg.Logf("fleet: ha %s: snapshot load: %v (continuing from store alone)", h.cfg.NodeID, err)
-	}
 	ccfg := h.cfg.Coordinator
 	ccfg.Epoch = epoch
 	ccfg.NodeID = h.cfg.NodeID
-	ccfg.Resume = snap
 	coord, err := NewCoordinator(ccfg)
 	if err != nil {
 		return fmt.Errorf("fleet: ha %s: activate epoch %d: %w", h.cfg.NodeID, epoch, err)
 	}
 	h.setActive(coord, epoch)
-	h.cfg.Logf("fleet: ha %s: active for epoch %d (snapshot replayed: %v)", h.cfg.NodeID, epoch, snap != nil)
+	h.cfg.Logf("fleet: ha %s: active for epoch %d", h.cfg.NodeID, epoch)
 
 	renew := time.NewTicker(h.cfg.LeaseInterval)
 	defer renew.Stop()
-	snapT := time.NewTicker(h.cfg.SnapshotInterval)
-	defer snapT.Stop()
 	doneCh := coord.Done()
 	for {
 		select {
 		case <-ctx.Done():
-			h.snapshot(dir, coord)
 			return ctx.Err()
 		case <-h.halt:
-			h.setActive(nil, 0) // crash: stop serving mid-flight, snapshot nothing
+			h.setActive(nil, 0) // crash: stop serving mid-flight
 			return ErrHalted
 		case <-renew.C:
 			if _, err := os.Stat(claimPath(dir, epoch+1)); err == nil {
@@ -304,18 +291,9 @@ func (h *HA) serveEpoch(ctx context.Context, dir string, epoch uint64) error {
 			if err := h.renewClaim(dir, epoch); err != nil {
 				h.cfg.Logf("fleet: ha %s: epoch claim renew: %v", h.cfg.NodeID, err)
 			}
-		case <-snapT.C:
-			h.snapshot(dir, coord)
 		case <-doneCh:
-			h.snapshot(dir, coord)
 			h.doneOnce.Do(func() { close(h.done) })
 			doneCh = nil // keep serving late completions and stats
 		}
-	}
-}
-
-func (h *HA) snapshot(dir string, coord *Coordinator) {
-	if err := WriteSnapshot(dir, coord.Snapshot()); err != nil {
-		h.cfg.Logf("fleet: ha %s: snapshot write: %v", h.cfg.NodeID, err)
 	}
 }

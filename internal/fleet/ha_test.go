@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,12 +39,11 @@ func newTestHA(t *testing.T, dir, node string, standby bool, opt sim.Options, tu
 			StealAfter:        time.Hour,
 			Logf:              t.Logf,
 		},
-		NodeID:           node,
-		Standby:          standby,
-		LeaseInterval:    25 * time.Millisecond,
-		LeaseTimeout:     150 * time.Millisecond,
-		SnapshotInterval: 25 * time.Millisecond,
-		Logf:             t.Logf,
+		NodeID:        node,
+		Standby:       standby,
+		LeaseInterval: 25 * time.Millisecond,
+		LeaseTimeout:  150 * time.Millisecond,
+		Logf:          t.Logf,
 	}
 	for _, f := range tune {
 		f(&cfg)
@@ -82,11 +82,12 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestFailoverMidSweepByteIdentical is the tentpole acceptance: the
-// primary coordinator is killed (no final snapshot, no handoff) while
-// three workers are mid-sweep; the standby fences the epoch, replays
-// snapshot + store, adopts the workers, and the finished tables are
-// byte-identical to a serial run with zero quarantined cells.
+// TestFailoverMidSweepByteIdentical is the failover acceptance: the
+// primary coordinator is killed (no handoff) while three workers are
+// mid-sweep; the standby fences the epoch, builds its cells from the
+// store scan alone, the workers re-register with it, and the finished
+// tables are byte-identical to a serial run with zero quarantined
+// cells.
 func TestFailoverMidSweepByteIdentical(t *testing.T) {
 	exps := []string{"fig11", "fig16"}
 	opt := fleetOptions()
@@ -102,7 +103,7 @@ func TestFailoverMidSweepByteIdentical(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(t.Context(), 3*time.Minute)
 	defer cancel()
-	// Both nodes write claims and snapshots into dir until Run returns:
+	// Both nodes write claims into dir until Run returns:
 	// wait for them, after the deferred cancel, before TempDir removes it.
 	var nodes sync.WaitGroup
 	t.Cleanup(nodes.Wait)
@@ -132,7 +133,7 @@ func TestFailoverMidSweepByteIdentical(t *testing.T) {
 	}
 
 	// Let the sweep get going, then kill the primary mid-flight: no
-	// final snapshot, no lease handoff, connections dropped.
+	// handoff, connections dropped.
 	waitFor(t, time.Minute, "primary to make progress", func() bool {
 		c := primary.Coordinator()
 		if c == nil {
@@ -167,10 +168,11 @@ func TestFailoverMidSweepByteIdentical(t *testing.T) {
 	if st.Quarantined != 0 || st.Done != st.Cells || !st.SuiteDone {
 		t.Fatalf("stats after failover: %+v", st)
 	}
-	// Duplicate-computation bound: beyond the in-flight overlap at the
-	// kill (at most one cell per worker), every cell is computed once.
-	// Aliased cells prime from the store, so the total can run under the
-	// cell count — never meaningfully over it.
+	// Duplicate-computation bound (DESIGN.md §14.1): the successor
+	// knows only the store, so a cell running at the kill is granted
+	// again, and beyond that overlap (at most one cell per worker) every
+	// cell is computed once. Aliased cells prime from the store, so the
+	// total can run under the cell count.
 	var total int64
 	for _, w := range workers {
 		total += w.Status().Completed
@@ -185,260 +187,6 @@ func TestFailoverMidSweepByteIdentical(t *testing.T) {
 	}
 	if got.String() != want {
 		t.Errorf("post-failover render differs from serial run:\n--- want\n%s--- got\n%s", want, got.String())
-	}
-}
-
-// completeCell computes one cell with a local runner and reports it to
-// the coordinator under the given identity.
-func completeCell(t *testing.T, c *Coordinator, r *sim.Runner, workerID, leaseID string, spec sim.CellSpec) {
-	t.Helper()
-	res, err := r.RunCell(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, sum, err := sim.MarshalCellResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.complete(CompleteRequest{WorkerID: workerID, LeaseID: leaseID, Cell: spec, Result: b, Sum: sum}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSnapshotRoundTrip drives a coordinator through completions,
-// failures and a quarantine, snapshots it, and checks a second
-// coordinator restored from the snapshot (plus the same store) sees
-// identical authoritative state.
-func TestSnapshotRoundTrip(t *testing.T) {
-	opt := fleetOptions()
-	dir := t.TempDir()
-	st1, err := sim.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewCoordinator(CoordinatorConfig{
-		Opt: opt, Store: st1, Epoch: 1, NodeID: "alpha",
-		HeartbeatTimeout: time.Hour, RetryBudget: 2, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sim.NewRunner(opt)
-	reg := a.register(RegisterRequest{Name: "w"})
-
-	// leaseFresh grants a lease whose cell is NOT already in the store.
-	// Suite cells can alias (distinct policies resolving to the same
-	// simulation key), so completing one cell may prime others; primed
-	// grants are completed for free and skipped, keeping the doomed and
-	// in-flight cells genuinely absent from the store.
-	leaseFresh := func() LeaseResponse {
-		t.Helper()
-		for {
-			g, ok, _ := a.lease(reg.WorkerID, 1)
-			if !ok || g.LeaseID == "" {
-				t.Fatalf("no leasable cell: %+v", g)
-			}
-			if !st1.HasCell(opt, g.Cell) {
-				return g
-			}
-			completeCell(t, a, r, reg.WorkerID, g.LeaseID, g.Cell)
-		}
-	}
-
-	// Complete three cells, fail one to quarantine, leave one in flight.
-	for i := 0; i < 3; i++ {
-		g := leaseFresh()
-		completeCell(t, a, r, reg.WorkerID, g.LeaseID, g.Cell)
-	}
-	// Quarantine one cell: RetryBudget 2, so two grant+fail cycles spend
-	// it. With a single worker the earliest pending cell is re-granted
-	// after each failure, so both grants land on the same cell.
-	g := leaseFresh()
-	doomed := g.Cell
-	for i := 0; i < 2; i++ {
-		if g.Cell.ID() != doomed.ID() {
-			t.Fatalf("doomed re-grant moved to %s, want %s", g.Cell.ID(), doomed.ID())
-		}
-		a.fail(FailRequest{WorkerID: reg.WorkerID, LeaseID: g.LeaseID, Cell: g.Cell, Error: "injected"})
-		if i == 0 {
-			var ok bool
-			g, ok, _ = a.lease(reg.WorkerID, 1)
-			if !ok || g.LeaseID == "" {
-				t.Fatalf("doomed re-grant: %+v", g)
-			}
-		}
-	}
-	inflight := leaseFresh()
-
-	snap := a.Snapshot()
-	if err := WriteSnapshot(dir, snap); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded == nil {
-		t.Fatal("no snapshot loaded")
-	}
-	wantJSON, _ := json.Marshal(snap)
-	gotJSON, _ := json.Marshal(loaded)
-	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("snapshot did not round-trip its file:\n want %s\n got  %s", wantJSON, gotJSON)
-	}
-
-	st2, err := sim.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCoordinator(CoordinatorConfig{
-		Opt: opt, Store: st2, Epoch: 2, NodeID: "beta", Resume: loaded,
-		HeartbeatTimeout: time.Hour, RetryBudget: 2, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := a.Stats(), b.Stats()
-	// The store outranks the snapshot, and aliased cells prime on the
-	// fresh scan, so Done can only grow across a restore.
-	if sb.Done < sa.Done {
-		t.Fatalf("restore lost completions: a=%+v b=%+v", sa, sb)
-	}
-	if sb.Quarantined != 1 || sb.QuarantinedCells[0].Cell != doomed.ID() || sb.QuarantinedCells[0].Attempts != 2 {
-		t.Fatalf("quarantine not restored: %+v", sb.QuarantinedCells)
-	}
-	if sb.Leased != 1 {
-		t.Fatalf("in-flight lease not restored: %+v", sb)
-	}
-	if !strings.Contains(strings.Join(sb.QuarantinedCells[0].Errors, " "), "injected") {
-		t.Errorf("quarantine errors lost: %+v", sb.QuarantinedCells[0])
-	}
-	if sb.Reassigned != sa.Reassigned || sb.LateResults != sa.LateResults {
-		t.Errorf("counters differ after restore: a=%+v b=%+v", sa, sb)
-	}
-	// The in-flight lease came back under its ghost worker.
-	found := false
-	for _, w := range sb.Workers {
-		if w.ID == reg.WorkerID && w.ActiveLeases == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("ghost worker %s with the in-flight lease not restored: %+v", reg.WorkerID, sb.Workers)
-	}
-	// Completing the in-flight lease on the restored coordinator is a
-	// normal (not late) completion.
-	completeCell(t, b, r, reg.WorkerID, inflight.LeaseID, inflight.Cell)
-	if got := b.Stats().LateResults; got != sa.LateResults {
-		t.Errorf("restored in-flight completion counted late: %d", got)
-	}
-}
-
-// TestSnapshotTornTailFallback: a crash mid-snapshot leaves a temp file
-// holding half a record beside the previous complete snapshot; the
-// previous snapshot still loads, and a coordinator restored from it
-// finishes the sweep byte-identical to serial. A bit-flipped snapshot
-// fails its checksum and loads as nil, and a coordinator resumes from
-// the store alone.
-func TestSnapshotTornTailFallback(t *testing.T) {
-	opt := fleetOptions()
-	want := serialRender(t, opt, []string{"fig11"})
-	dir := t.TempDir()
-	st1, err := sim.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewCoordinator(CoordinatorConfig{
-		Opt: opt, Store: st1, Epoch: 1, HeartbeatTimeout: time.Hour, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sim.NewRunner(opt)
-	reg := a.register(RegisterRequest{Name: "w"})
-	for i := 0; i < 4; i++ {
-		g, ok, _ := a.lease(reg.WorkerID, 1)
-		if !ok || g.LeaseID == "" {
-			t.Fatalf("lease %d: %+v", i, g)
-		}
-		completeCell(t, a, r, reg.WorkerID, g.LeaseID, g.Cell)
-	}
-	good := a.Snapshot()
-	if err := WriteSnapshot(dir, good); err != nil {
-		t.Fatal(err)
-	}
-	// Crash mid-write of the next snapshot: half a record in the temp
-	// file that was never renamed.
-	next, err := os.ReadFile(filepath.Join(dir, SnapshotName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-"+SnapshotName+"-42"), next[:len(next)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := LoadSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded == nil || loaded.Epoch != 1 || loaded.Seq != good.Seq {
-		t.Fatalf("torn write not ignored: loaded %+v, want the previous snapshot (seq %d)", loaded, good.Seq)
-	}
-
-	// Restore and finish the sweep over HTTP with a real worker.
-	st2, err := sim.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCoordinator(CoordinatorConfig{
-		Opt: opt, Store: st2, Epoch: 2, Resume: loaded,
-		HeartbeatInterval: 25 * time.Millisecond, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Stats().Done; got < 4 {
-		t.Fatalf("restored Done = %d, want >= 4 (store replay)", got)
-	}
-	srv := httptest.NewServer(b.Handler())
-	defer srv.Close()
-	w := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "finisher", Logf: t.Logf})
-	runWorkers(t, b, w)
-	var got bytes.Buffer
-	if err := b.RenderExperiments([]string{"fig11"}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want {
-		t.Errorf("post-torn-write render differs from serial run:\n--- want\n%s--- got\n%s", want, got.String())
-	}
-
-	// Bit rot in the snapshot: it loads as nil, and the store alone
-	// settles every cell.
-	path := filepath.Join(dir, SnapshotName)
-	rec, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec[len(rec)/2] ^= 0x08
-	if err := os.WriteFile(path, rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if loaded, err := LoadSnapshot(dir); loaded != nil || !errors.Is(err, durable.ErrCorrupt) {
-		t.Fatalf("bit-flipped snapshot: loaded %+v, err %v; want nil and a corrupt-record error", loaded, err)
-	}
-	c, err := NewCoordinator(CoordinatorConfig{Opt: opt, Store: st2, Epoch: 3, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Done != st.Cells || !st.SuiteDone {
-		t.Fatalf("coordinator over the store alone: %+v, want every cell done", st)
-	}
-	got.Reset()
-	if err := c.RenderExperiments([]string{"fig11"}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want {
-		t.Errorf("store-only render differs from serial run:\n--- want\n%s--- got\n%s", want, got.String())
 	}
 }
 
@@ -532,87 +280,12 @@ func TestElectionDeposesLivePrimary(t *testing.T) {
 	}
 }
 
-// TestLeaseTokenContinuityAcrossEpochs is the satellite regression: a
-// worker whose heartbeat lapses during failover resumes its lease token
-// on the new coordinator with no spurious retry-budget charge and no
-// reassignment race, and its completion is a normal (not late) one.
-func TestLeaseTokenContinuityAcrossEpochs(t *testing.T) {
-	opt := fleetOptions()
-	dir := t.TempDir()
-	st1, err := sim.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewCoordinator(CoordinatorConfig{
-		Opt: opt, Store: st1, Epoch: 1, HeartbeatTimeout: time.Hour, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	regA := a.register(RegisterRequest{Name: "w"})
-	grant, ok, _ := a.lease(regA.WorkerID, 1)
-	if !ok || grant.LeaseID == "" {
-		t.Fatalf("no lease: %+v", grant)
-	}
-
-	snap := a.Snapshot()
-	st2, err := sim.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCoordinator(CoordinatorConfig{
-		Opt: opt, Store: st2, Epoch: 2, Resume: snap,
-		HeartbeatTimeout: time.Hour, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Old-epoch traffic: grants and heartbeats are fenced, with no side
-	// effects on the lease.
-	if _, _, stale := b.lease(regA.WorkerID, 1); !stale {
-		t.Error("stale-epoch lease request was not fenced")
-	}
-	if _, stale := b.heartbeat(regA.WorkerID, 1); !stale {
-		t.Error("stale-epoch heartbeat was not fenced")
-	}
-
-	regB := b.register(RegisterRequest{
-		Name: "w",
-		Held: []HeldLease{{LeaseID: grant.LeaseID, Cell: grant.Cell, Epoch: 1}},
-	})
-	if regB.Epoch != 2 {
-		t.Errorf("re-register epoch = %d, want 2", regB.Epoch)
-	}
-	if len(regB.Resumed) != 1 || regB.Resumed[0] != grant.LeaseID {
-		t.Fatalf("lease token not resumed: %+v", regB.Resumed)
-	}
-	st := b.Stats()
-	if st.Reassigned != 0 {
-		t.Errorf("adoption caused a reassignment: %+v", st.Reassignments)
-	}
-	// Retry budget untouched: the snapshot's single grant is still the
-	// only attempt.
-	for _, sc := range b.Snapshot().Cells {
-		if sc.ID == grant.Cell.ID() && sc.Attempts != 1 {
-			t.Errorf("cell %s attempts = %d after adoption, want 1", sc.ID, sc.Attempts)
-		}
-	}
-	// The adopted lease completes as a normal result under the new
-	// identity.
-	completeCell(t, b, sim.NewRunner(opt), regB.WorkerID, grant.LeaseID, grant.Cell)
-	st = b.Stats()
-	if st.LateResults != 0 {
-		t.Errorf("adopted completion counted late: %+v", st)
-	}
-	if st.Done != b.Stats().StorePrimed+1 {
-		t.Errorf("cell not done after adopted completion: %+v", st)
-	}
-}
-
 // TestStaleEpochHTTPStatus pins the wire contract: stale-epoch
-// heartbeats and lease requests get 409, unknown workers 410, and
-// completions are accepted regardless of epoch.
+// heartbeats and lease requests get 409 and change nothing, unknown
+// workers 410, and completions are accepted regardless of epoch. A
+// report for a lease an earlier-epoch coordinator granted settles its
+// cell as a late result, even when this coordinator has reissued the
+// lease ID on another cell.
 func TestStaleEpochHTTPStatus(t *testing.T) {
 	opt := fleetOptions()
 	c, srv := newTestCoordinator(t, CoordinatorConfig{
@@ -638,30 +311,146 @@ func TestStaleEpochHTTPStatus(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+	r := sim.NewRunner(opt)
+	report := func(workerID, leaseID string, spec sim.CellSpec) int {
+		t.Helper()
+		res, err := r.RunCell(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, sum, err := sim.MarshalCellResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post(PathComplete, CompleteRequest{WorkerID: workerID, LeaseID: leaseID, Cell: spec, Result: b, Sum: sum})
+	}
 
+	before := c.Stats()
 	if got := post(PathHeartbeat, HeartbeatRequest{WorkerID: reg.WorkerID, Epoch: 1}); got != http.StatusConflict {
 		t.Errorf("stale heartbeat status = %d, want 409", got)
 	}
 	if got := post(PathLease, LeaseRequest{WorkerID: reg.WorkerID, Epoch: 1}); got != http.StatusConflict {
 		t.Errorf("stale lease status = %d, want 409", got)
 	}
+	if after := c.Stats(); after.Leased != before.Leased || after.Reassigned != before.Reassigned {
+		t.Errorf("stale-epoch requests changed the leases: leased %d -> %d, reassigned %d -> %d",
+			before.Leased, after.Leased, before.Reassigned, after.Reassigned)
+	}
 	if got := post(PathHeartbeat, HeartbeatRequest{WorkerID: "w999", Epoch: 2}); got != http.StatusGone {
 		t.Errorf("unknown worker heartbeat status = %d, want 410", got)
 	}
 	// Completion carries no epoch at all: the result is checksummed and
 	// idempotent, so even a fenced worker's report is taken.
-	res, err := sim.NewRunner(opt).RunCell(context.Background(), grant.Cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, sum, err := sim.MarshalCellResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := post(PathComplete, CompleteRequest{
-		WorkerID: reg.WorkerID, LeaseID: grant.LeaseID, Cell: grant.Cell, Result: b, Sum: sum,
-	}); got != http.StatusOK {
+	if got := report(reg.WorkerID, grant.LeaseID, grant.Cell); got != http.StatusOK {
 		t.Errorf("complete status = %d, want 200", got)
+	}
+
+	// An epoch-1 coordinator over the same store issues IDs from l1
+	// again: grant there until it hands out the ID of this coordinator's
+	// live lease, on a cell of its own.
+	live, ok, _ := c.lease(reg.WorkerID, 2)
+	if !ok || live.LeaseID == "" {
+		t.Fatalf("no second lease: %+v", live)
+	}
+	old, err := NewCoordinator(CoordinatorConfig{
+		Opt: opt, Store: c.cfg.Store, Epoch: 1, HeartbeatTimeout: time.Hour, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldReg := old.register(RegisterRequest{Name: "w"})
+	var oldGrant LeaseResponse
+	for oldGrant.LeaseID != live.LeaseID {
+		if oldGrant, ok, _ = old.lease(oldReg.WorkerID, 1); !ok || oldGrant.LeaseID == "" {
+			t.Fatalf("epoch-1 coordinator granted no lease: %+v", oldGrant)
+		}
+	}
+	if oldGrant.Cell.ID() == live.Cell.ID() {
+		t.Fatalf("both coordinators granted %s on %s; the test needs two cells", live.LeaseID, live.Cell.ID())
+	}
+	before = c.Stats()
+	if got := report(oldReg.WorkerID, oldGrant.LeaseID, oldGrant.Cell); got != http.StatusOK {
+		t.Errorf("earlier-epoch complete status = %d, want 200", got)
+	}
+	after := c.Stats()
+	if after.LateResults != before.LateResults+1 || after.Done != before.Done+1 {
+		t.Errorf("earlier-epoch report of %s: late %d -> %d, done %d -> %d; want the cell settled as a late result",
+			oldGrant.Cell.ID(), before.LateResults, after.LateResults, before.Done, after.Done)
+	}
+	if after.Leased != 1 {
+		t.Errorf("leased = %d after the earlier-epoch report, want 1: lease %s on %s stays live", after.Leased, live.LeaseID, live.Cell.ID())
+	}
+}
+
+// TestWorkerRegistersOncePerRefusal: a coordinator that holds a
+// worker's heartbeat and its lease request and then refuses both with
+// 409, as a successor answers a worker's first requests after a
+// failover, gets exactly one more registration from it.
+func TestWorkerRegistersOncePerRefusal(t *testing.T) {
+	var regs atomic.Int64
+	held := make(chan struct{}, 2)
+	release := make(chan struct{})
+	var beatNew, leaseNew atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathRegister {
+			writeJSON(w, http.StatusOK, RegisterResponse{
+				WorkerID: fmt.Sprintf("w%d", regs.Add(1)), Epoch: 1, HeartbeatIntervalMS: 10, Options: fleetOptions(),
+			})
+			return
+		}
+		var req HeartbeatRequest // a lease request has the same fields
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req.WorkerID == "w1" {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return // the test gave up and stopped the worker
+			}
+			http.Error(w, "stale epoch; re-register", http.StatusConflict)
+			return
+		}
+		if r.URL.Path == PathHeartbeat {
+			beatNew.Store(true)
+			return
+		}
+		leaseNew.Store(true)
+		writeJSON(w, http.StatusOK, LeaseResponse{Idle: true, RetryMS: 10})
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(t.Context())
+	w := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "a", Logf: t.Logf})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		w.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+	for range 2 {
+		select {
+		case <-held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the worker's heartbeat and lease request never both arrived")
+		}
+	}
+	close(release)
+	// Both loops are past their refusal once each has sent a request
+	// under a new identity.
+	waitFor(t, 10*time.Second, "a heartbeat and a lease request under a new identity", func() bool {
+		return beatNew.Load() && leaseNew.Load()
+	})
+	if n := regs.Load(); n != 2 {
+		t.Errorf("%d registrations, want 2: one at start and one for the refused identity", n)
 	}
 }
 

@@ -53,32 +53,31 @@ type Worker struct {
 	runnerOnce sync.Once
 	runner     *sim.Runner
 
-	mu    sync.Mutex // guards id, beat, epoch, held, epIdx
-	id    string
-	beat  time.Duration
-	epoch uint64
-	held  *HeldLease // in-flight lease, presented on re-registration
-	epIdx int        // current coordinator endpoint
+	regMu sync.Mutex // serializes registrations; held across the register POST
+
+	mu    sync.Mutex   // guards reg and epIdx
+	reg   registration // the current identity
+	epIdx int          // current coordinator endpoint
 
 	silent    atomic.Bool  // partition injection: drop heartbeats
 	completed atomic.Int64 // cells finished (late reports included)
-	resumed   atomic.Int64 // leases adopted across re-registrations
 }
 
-// identity snapshots the current worker ID, heartbeat interval and
-// coordinator epoch.
-func (w *Worker) identity() (string, time.Duration, uint64) {
+// registration is one identity a coordinator handed the worker. n
+// counts the worker's registrations, so two never compare equal even
+// when a restarted coordinator reissues a worker ID.
+type registration struct {
+	n     int
+	id    string
+	epoch uint64
+	beat  time.Duration
+}
+
+// identity returns the current registration.
+func (w *Worker) identity() registration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.id, w.beat, w.epoch
-}
-
-// setHeld records (or clears) the lease the worker is computing, so a
-// re-registration mid-compute can present it for adoption.
-func (w *Worker) setHeld(h *HeldLease) {
-	w.mu.Lock()
-	w.held = h
-	w.mu.Unlock()
+	return w.reg
 }
 
 // endpoint returns the current coordinator base URL.
@@ -100,10 +99,6 @@ func (w *Worker) rotateEndpoint(failed string) {
 	}
 }
 
-// Resumed counts leases the coordinator adopted across this worker's
-// re-registrations — the observable for lease-token continuity tests.
-func (w *Worker) Resumed() int64 { return w.resumed.Load() }
-
 // WorkerStatus is the /workerz view of a worker.
 type WorkerStatus struct {
 	Name        string `json:"name"`
@@ -113,13 +108,12 @@ type WorkerStatus struct {
 	Partitioned bool   `json:"partitioned"`
 }
 
-// Status snapshots the worker for health endpoints. Safe to call
+// Status returns the worker's view for health endpoints. Safe to call
 // concurrently with Run.
 func (w *Worker) Status() WorkerStatus {
-	id, _, _ := w.identity()
 	return WorkerStatus{
 		Name:        w.cfg.Name,
-		WorkerID:    id,
+		WorkerID:    w.identity().id,
 		Coordinator: w.endpoint(),
 		Completed:   w.completed.Load(),
 		Partitioned: w.silent.Load(),
@@ -152,7 +146,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if len(w.endpoints) == 0 {
 		return fmt.Errorf("fleet: worker %s: no coordinator endpoints", w.cfg.Name)
 	}
-	if err := w.register(ctx); err != nil {
+	if err := w.register(ctx, 0); err != nil {
 		return err
 	}
 
@@ -161,14 +155,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	go w.heartbeatLoop(hbCtx)
 
 	for {
-		id, beat, epoch := w.identity()
+		reg := w.identity()
 		var resp LeaseResponse
-		status, err := w.post(ctx, PathLease, LeaseRequest{WorkerID: id, Epoch: epoch}, &resp)
+		status, err := w.post(ctx, PathLease, LeaseRequest{WorkerID: reg.id, Epoch: reg.epoch}, &resp)
 		if err != nil {
 			return fmt.Errorf("fleet: worker %s: lease: %w", w.cfg.Name, err)
 		}
 		if status == http.StatusGone || status == http.StatusConflict {
-			if err := w.register(ctx); err != nil {
+			if err := w.register(ctx, reg.n); err != nil {
 				return err
 			}
 			continue
@@ -180,7 +174,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case resp.Idle:
 			wait := time.Duration(resp.RetryMS) * time.Millisecond
 			if wait <= 0 {
-				wait = beat
+				wait = reg.beat
 			}
 			select {
 			case <-time.After(wait):
@@ -188,22 +182,18 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 		default:
-			w.workCell(ctx, id, resp)
+			w.workCell(ctx, resp)
 		}
 	}
 }
 
-// workCell computes one leased cell and reports the outcome. Errors in
-// reporting are logged, not fatal: the coordinator's lease machinery
-// recovers the cell either way.
-func (w *Worker) workCell(ctx context.Context, id string, l LeaseResponse) {
+// workCell computes one leased cell and reports the outcome under the
+// worker's identity at report time: a failover mid-compute may have
+// re-registered the worker, and its old ID may name another worker at
+// the successor. Errors in reporting are logged, not fatal: the
+// coordinator's lease machinery recovers the cell either way.
+func (w *Worker) workCell(ctx context.Context, l LeaseResponse) {
 	w.cfg.Logf("fleet: worker %s: cell %s (lease %s, stolen=%v)", w.cfg.Name, l.Cell.ID(), l.LeaseID, l.Stolen)
-	// Hold the lease token while computing: if a failover forces a
-	// re-registration mid-compute (from the heartbeat loop), the new
-	// coordinator adopts this lease instead of reassigning the cell.
-	_, _, epoch := w.identity()
-	w.setHeld(&HeldLease{LeaseID: l.LeaseID, Cell: l.Cell, Epoch: epoch})
-	defer w.setHeld(nil)
 	// Hold only the prepared frame this cell reads: the coordinator
 	// leases frame by frame, so the frame dropped here is one this
 	// worker is done with.
@@ -212,7 +202,7 @@ func (w *Worker) workCell(ctx context.Context, id string, l LeaseResponse) {
 	if err != nil {
 		w.cfg.Logf("fleet: worker %s: cell %s failed: %v", w.cfg.Name, l.Cell.ID(), err)
 		if _, perr := w.post(ctx, PathFail, FailRequest{
-			WorkerID: id, LeaseID: l.LeaseID, Cell: l.Cell, Error: err.Error(),
+			WorkerID: w.identity().id, LeaseID: l.LeaseID, Cell: l.Cell, Error: err.Error(),
 		}, nil); perr != nil {
 			w.cfg.Logf("fleet: worker %s: fail report lost: %v", w.cfg.Name, perr)
 		}
@@ -236,11 +226,8 @@ func (w *Worker) workCell(ctx context.Context, id string, l LeaseResponse) {
 		w.silent.Store(false)
 		w.cfg.Logf("fleet: worker %s: partition healed, reporting held cell %s", w.cfg.Name, l.Cell.ID())
 	}
-	// Re-read the identity: a mid-compute re-registration (failover)
-	// changed the worker ID, and the lease was adopted under the new one.
-	id, _, _ = w.identity()
 	status, err := w.post(ctx, PathComplete, CompleteRequest{
-		WorkerID: id, LeaseID: l.LeaseID, Cell: l.Cell, Result: b, Sum: sum,
+		WorkerID: w.identity().id, LeaseID: l.LeaseID, Cell: l.Cell, Result: b, Sum: sum,
 	}, nil)
 	if err != nil {
 		w.cfg.Logf("fleet: worker %s: complete report lost for cell %s: %v", w.cfg.Name, l.Cell.ID(), err)
@@ -251,20 +238,23 @@ func (w *Worker) workCell(ctx context.Context, id string, l LeaseResponse) {
 	}
 }
 
-// register (re-)announces the worker — presenting any held lease for
-// adoption — and builds the runner from the coordinator's suite options
-// on first success. Safe to call concurrently from the work loop and
-// the heartbeat loop: identity updates are atomic under the mutex and
-// registration is idempotent on the coordinator side.
-func (w *Worker) register(ctx context.Context) error {
-	w.mu.Lock()
-	req := RegisterRequest{Name: w.cfg.Name}
-	if w.held != nil {
-		req.Held = []HeldLease{*w.held}
+// register announces the worker and builds the runner from the
+// coordinator's suite options on first success. refused is the number
+// of the registration the coordinator turned away (0 before the first):
+// if another loop has already replaced it, register returns at once.
+// The heartbeat loop and the work loop can both be refused for one
+// identity; after a failover the heartbeat's retried request, still
+// carrying the old ID, reaches the successor after the work loop has
+// re-registered. Under regMu one refusal gets one registration, and no
+// orphan identity is left at the coordinator.
+func (w *Worker) register(ctx context.Context, refused int) error {
+	w.regMu.Lock()
+	defer w.regMu.Unlock()
+	if w.identity().n != refused {
+		return nil
 	}
-	w.mu.Unlock()
 	var resp RegisterResponse
-	status, err := w.post(ctx, PathRegister, req, &resp)
+	status, err := w.post(ctx, PathRegister, RegisterRequest{Name: w.cfg.Name}, &resp)
 	if err != nil {
 		return fmt.Errorf("fleet: worker %s: register: %w", w.cfg.Name, err)
 	}
@@ -276,26 +266,20 @@ func (w *Worker) register(ctx context.Context) error {
 		beat = DefaultHeartbeatInterval
 	}
 	w.mu.Lock()
-	w.id = resp.WorkerID
-	w.beat = beat
-	w.epoch = resp.Epoch
+	w.reg = registration{n: refused + 1, id: resp.WorkerID, epoch: resp.Epoch, beat: beat}
 	w.mu.Unlock()
-	w.resumed.Add(int64(len(resp.Resumed)))
 	w.runnerOnce.Do(func() { w.runner = w.cfg.NewRunner(resp.Options) })
-	w.cfg.Logf("fleet: worker %s: registered as %s (epoch %d, heartbeat %v, %d lease(s) resumed)",
-		w.cfg.Name, resp.WorkerID, resp.Epoch, beat, len(resp.Resumed))
+	w.cfg.Logf("fleet: worker %s: registered as %s (epoch %d, heartbeat %v)",
+		w.cfg.Name, resp.WorkerID, resp.Epoch, beat)
 	return nil
 }
 
 // heartbeatLoop renews liveness every interval. A 410 (written off) or
-// 409 (stale epoch after a failover) triggers an immediate
-// re-registration from here — the work loop may be deep in a long
-// compute, and re-registering now, with the held lease presented,
-// preserves lease-token continuity instead of letting the new
-// coordinator's lapse machinery reassign the cell.
+// 409 (stale epoch after a failover) re-registers from here, so a worker
+// deep in a long compute is live at the coordinator again before its
+// work loop next asks for a lease.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	_, beat, _ := w.identity()
-	t := time.NewTicker(beat)
+	t := time.NewTicker(w.identity().beat)
 	defer t.Stop()
 	for {
 		select {
@@ -306,15 +290,15 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		if w.silent.Load() {
 			continue // injected partition: drop the beat
 		}
-		id, _, epoch := w.identity()
-		status, err := w.post(ctx, PathHeartbeat, HeartbeatRequest{WorkerID: id, Epoch: epoch}, nil)
+		reg := w.identity()
+		status, err := w.post(ctx, PathHeartbeat, HeartbeatRequest{WorkerID: reg.id, Epoch: reg.epoch}, nil)
 		if err != nil {
 			w.cfg.Logf("fleet: worker %s: heartbeat lost: %v", w.cfg.Name, err)
 			continue
 		}
 		if status == http.StatusGone || status == http.StatusConflict {
-			w.cfg.Logf("fleet: worker %s: heartbeat rejected (status %d); re-registering", w.cfg.Name, status)
-			if err := w.register(ctx); err != nil {
+			w.cfg.Logf("fleet: worker %s: heartbeat of %s rejected (status %d)", w.cfg.Name, reg.id, status)
+			if err := w.register(ctx, reg.n); err != nil {
 				w.cfg.Logf("fleet: worker %s: re-register failed: %v", w.cfg.Name, err)
 			}
 		}

@@ -235,8 +235,8 @@ func (s *Store) Len() (int, error) {
 	}
 	n := 0
 	for _, de := range ents {
-		// As in GC: the coordinator's snapshot and claims have no .json
-		// suffix.
+		// As in GC: the coordinator's claims, and the snapshot files
+		// older versions left, have no .json suffix.
 		if fn := de.Name(); strings.HasSuffix(fn, ".json") && !strings.HasPrefix(fn, durable.TempPrefix) {
 			n++
 		}
@@ -322,7 +322,7 @@ func (s *Store) GC(pol GCPolicy, pinned map[string]bool) (GCStats, error) {
 		}
 		name, ok := strings.CutSuffix(fn, ".json")
 		if !ok {
-			continue // the coordinator's snapshot and claims
+			continue // the coordinator's claims and older versions' files
 		}
 		live = append(live, entry{name: name, size: info.Size(), mod: info.ModTime()})
 	}

@@ -336,7 +336,7 @@ func TestSuiteCellsShareOneFrame(t *testing.T) {
 
 // TestStoreLenGlobMetacharacters: Len counts the entries of a store
 // whose path holds glob metacharacters, and skips temp files and the
-// coordinator's snapshot.
+// coordinator.snapshot an older coordinator left.
 func TestStoreLenGlobMetacharacters(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "runs[1]*")
 	st, err := OpenStore(dir)

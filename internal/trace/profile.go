@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dtexl/internal/texture"
 )
@@ -97,77 +98,79 @@ func (p Profile) Validate() error {
 }
 
 // Profiles returns the ten-game benchmark suite of Table I in table
-// order.
-func Profiles() []Profile {
-	return []Profile{
-		{
-			Name: "Candy Crush Saga", Alias: "CCS", Installs: 1000, Genre: "Puzzle", Is2D: true,
-			TextureFootprintMiB: 2.4, Overdraw: 1.9, Clustering: 0.30, HorizontalBias: 1.2,
-			MeanTriArea: 1400, ShaderLen: [2]int{18, 36}, SamplesPerQuad: [2]int{1, 2},
-			Filter: texture.Bilinear, TexelDensity: 1.4, Reuse: 0.70, UVJitter: 3.5, TransparentFrac: 0.35,
-		},
-		{
-			Name: "Sonic Dash", Alias: "SoD", Installs: 100, Genre: "Arcade", Is2D: false,
-			TextureFootprintMiB: 1.4, Overdraw: 2.4, Clustering: 0.50, HorizontalBias: 1.5,
-			MeanTriArea: 2200, ShaderLen: [2]int{24, 48}, SamplesPerQuad: [2]int{2, 3},
-			Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.15,
-		},
-		{
-			Name: "Temple Run", Alias: "TRu", Installs: 500, Genre: "Arcade", Is2D: false,
-			TextureFootprintMiB: 0.4, Overdraw: 2.8, Clustering: 0.80, HorizontalBias: 1.6,
-			MeanTriArea: 2600, ShaderLen: [2]int{27, 57}, SamplesPerQuad: [2]int{2, 3},
-			Filter: texture.Trilinear, TexelDensity: 1.5, Reuse: 0.60, UVJitter: 3.5, TransparentFrac: 0.12,
-		},
-		{
-			Name: "Shoot Strike War Fire", Alias: "SWa", Installs: 10, Genre: "Shooter", Is2D: false,
-			TextureFootprintMiB: 0.2, Overdraw: 2.2, Clustering: 0.50, HorizontalBias: 1.3,
-			MeanTriArea: 1800, ShaderLen: [2]int{24, 42}, SamplesPerQuad: [2]int{2, 2},
-			Filter: texture.Bilinear, TexelDensity: 1.3, Reuse: 0.60, UVJitter: 3.5, TransparentFrac: 0.18,
-		},
-		{
-			Name: "City Racing 3D", Alias: "CRa", Installs: 50, Genre: "Racing", Is2D: false,
-			TextureFootprintMiB: 2.8, Overdraw: 2.5, Clustering: 0.60, HorizontalBias: 2.0,
-			MeanTriArea: 2400, ShaderLen: [2]int{27, 54}, SamplesPerQuad: [2]int{2, 4},
-			Filter: texture.Aniso2x, TexelDensity: 1.6, Reuse: 0.40, UVJitter: 3.5, TransparentFrac: 0.15,
-		},
-		{
-			Name: "Rise of Kingdoms: Lost Crusade", Alias: "RoK", Installs: 10, Genre: "Strategy", Is2D: true,
-			TextureFootprintMiB: 6.8, Overdraw: 2.0, Clustering: 0.35, HorizontalBias: 1.2,
-			MeanTriArea: 1600, ShaderLen: [2]int{18, 39}, SamplesPerQuad: [2]int{1, 3},
-			Filter: texture.Bilinear, TexelDensity: 1.4, Reuse: 0.30, UVJitter: 3.5, TransparentFrac: 0.30,
-		},
-		{
-			Name: "Derby Destruction Simulator", Alias: "DDS", Installs: 10, Genre: "Racing", Is2D: false,
-			TextureFootprintMiB: 1.4, Overdraw: 2.4, Clustering: 0.55, HorizontalBias: 1.8,
-			MeanTriArea: 2200, ShaderLen: [2]int{24, 48}, SamplesPerQuad: [2]int{2, 3},
-			Filter: texture.Aniso2x, TexelDensity: 1.5, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.15,
-		},
-		{
-			Name: "Sniper 3D", Alias: "Snp", Installs: 500, Genre: "Shooter", Is2D: false,
-			TextureFootprintMiB: 1.8, Overdraw: 2.3, Clustering: 0.50, HorizontalBias: 1.4,
-			MeanTriArea: 2000, ShaderLen: [2]int{27, 51}, SamplesPerQuad: [2]int{2, 3},
-			Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.15,
-		},
-		{
-			Name: "3D Maze 2: Diamonds & Ghosts", Alias: "Mze", Installs: 10, Genre: "Arcade", Is2D: false,
-			TextureFootprintMiB: 2.4, Overdraw: 2.6, Clustering: 0.60, HorizontalBias: 1.7,
-			MeanTriArea: 2400, ShaderLen: [2]int{21, 45}, SamplesPerQuad: [2]int{2, 3},
-			Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.10,
-		},
-		{
-			Name: "Gravitytetris", Alias: "GTr", Installs: 5, Genre: "Puzzle", Is2D: false,
-			TextureFootprintMiB: 0.7, Overdraw: 2.1, Clustering: 0.45, HorizontalBias: 1.3,
-			MeanTriArea: 1500, ShaderLen: [2]int{19, 38}, SamplesPerQuad: [2]int{2, 4},
-			Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.80, UVJitter: 3.5, TransparentFrac: 0.20,
-		},
-	}
+// order, as a copy the caller may change.
+func Profiles() []Profile { return slices.Clone(tableI) }
+
+// tableI is the suite in table order. It is built once, because
+// ProfileByAlias runs on every served request and every simulation.
+var tableI = []Profile{
+	{
+		Name: "Candy Crush Saga", Alias: "CCS", Installs: 1000, Genre: "Puzzle", Is2D: true,
+		TextureFootprintMiB: 2.4, Overdraw: 1.9, Clustering: 0.30, HorizontalBias: 1.2,
+		MeanTriArea: 1400, ShaderLen: [2]int{18, 36}, SamplesPerQuad: [2]int{1, 2},
+		Filter: texture.Bilinear, TexelDensity: 1.4, Reuse: 0.70, UVJitter: 3.5, TransparentFrac: 0.35,
+	},
+	{
+		Name: "Sonic Dash", Alias: "SoD", Installs: 100, Genre: "Arcade", Is2D: false,
+		TextureFootprintMiB: 1.4, Overdraw: 2.4, Clustering: 0.50, HorizontalBias: 1.5,
+		MeanTriArea: 2200, ShaderLen: [2]int{24, 48}, SamplesPerQuad: [2]int{2, 3},
+		Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.15,
+	},
+	{
+		Name: "Temple Run", Alias: "TRu", Installs: 500, Genre: "Arcade", Is2D: false,
+		TextureFootprintMiB: 0.4, Overdraw: 2.8, Clustering: 0.80, HorizontalBias: 1.6,
+		MeanTriArea: 2600, ShaderLen: [2]int{27, 57}, SamplesPerQuad: [2]int{2, 3},
+		Filter: texture.Trilinear, TexelDensity: 1.5, Reuse: 0.60, UVJitter: 3.5, TransparentFrac: 0.12,
+	},
+	{
+		Name: "Shoot Strike War Fire", Alias: "SWa", Installs: 10, Genre: "Shooter", Is2D: false,
+		TextureFootprintMiB: 0.2, Overdraw: 2.2, Clustering: 0.50, HorizontalBias: 1.3,
+		MeanTriArea: 1800, ShaderLen: [2]int{24, 42}, SamplesPerQuad: [2]int{2, 2},
+		Filter: texture.Bilinear, TexelDensity: 1.3, Reuse: 0.60, UVJitter: 3.5, TransparentFrac: 0.18,
+	},
+	{
+		Name: "City Racing 3D", Alias: "CRa", Installs: 50, Genre: "Racing", Is2D: false,
+		TextureFootprintMiB: 2.8, Overdraw: 2.5, Clustering: 0.60, HorizontalBias: 2.0,
+		MeanTriArea: 2400, ShaderLen: [2]int{27, 54}, SamplesPerQuad: [2]int{2, 4},
+		Filter: texture.Aniso2x, TexelDensity: 1.6, Reuse: 0.40, UVJitter: 3.5, TransparentFrac: 0.15,
+	},
+	{
+		Name: "Rise of Kingdoms: Lost Crusade", Alias: "RoK", Installs: 10, Genre: "Strategy", Is2D: true,
+		TextureFootprintMiB: 6.8, Overdraw: 2.0, Clustering: 0.35, HorizontalBias: 1.2,
+		MeanTriArea: 1600, ShaderLen: [2]int{18, 39}, SamplesPerQuad: [2]int{1, 3},
+		Filter: texture.Bilinear, TexelDensity: 1.4, Reuse: 0.30, UVJitter: 3.5, TransparentFrac: 0.30,
+	},
+	{
+		Name: "Derby Destruction Simulator", Alias: "DDS", Installs: 10, Genre: "Racing", Is2D: false,
+		TextureFootprintMiB: 1.4, Overdraw: 2.4, Clustering: 0.55, HorizontalBias: 1.8,
+		MeanTriArea: 2200, ShaderLen: [2]int{24, 48}, SamplesPerQuad: [2]int{2, 3},
+		Filter: texture.Aniso2x, TexelDensity: 1.5, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.15,
+	},
+	{
+		Name: "Sniper 3D", Alias: "Snp", Installs: 500, Genre: "Shooter", Is2D: false,
+		TextureFootprintMiB: 1.8, Overdraw: 2.3, Clustering: 0.50, HorizontalBias: 1.4,
+		MeanTriArea: 2000, ShaderLen: [2]int{27, 51}, SamplesPerQuad: [2]int{2, 3},
+		Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.15,
+	},
+	{
+		Name: "3D Maze 2: Diamonds & Ghosts", Alias: "Mze", Installs: 10, Genre: "Arcade", Is2D: false,
+		TextureFootprintMiB: 2.4, Overdraw: 2.6, Clustering: 0.60, HorizontalBias: 1.7,
+		MeanTriArea: 2400, ShaderLen: [2]int{21, 45}, SamplesPerQuad: [2]int{2, 3},
+		Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.50, UVJitter: 3.5, TransparentFrac: 0.10,
+	},
+	{
+		Name: "Gravitytetris", Alias: "GTr", Installs: 5, Genre: "Puzzle", Is2D: false,
+		TextureFootprintMiB: 0.7, Overdraw: 2.1, Clustering: 0.45, HorizontalBias: 1.3,
+		MeanTriArea: 1500, ShaderLen: [2]int{19, 38}, SamplesPerQuad: [2]int{2, 4},
+		Filter: texture.Trilinear, TexelDensity: 1.4, Reuse: 0.80, UVJitter: 3.5, TransparentFrac: 0.20,
+	},
 }
 
 // ProfileByAlias looks a profile up by its Table I alias.
 func ProfileByAlias(alias string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Alias == alias {
-			return p, nil
+	for i := range tableI {
+		if tableI[i].Alias == alias {
+			return tableI[i], nil
 		}
 	}
 	return Profile{}, fmt.Errorf("trace: unknown benchmark alias %q", alias)
@@ -175,10 +178,9 @@ func ProfileByAlias(alias string) (Profile, error) {
 
 // Aliases returns the ten benchmark aliases in Table I order.
 func Aliases() []string {
-	ps := Profiles()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Alias
+	out := make([]string, len(tableI))
+	for i := range tableI {
+		out[i] = tableI[i].Alias
 	}
 	return out
 }

@@ -129,6 +129,9 @@ func TestProfilesMatchTableI(t *testing.T) {
 	}
 }
 
+// TestProfileByAlias: every alias resolves to its own Table I profile,
+// without allocating (the lookup runs on every served request and
+// every simulation), and the copy Profiles returns is the caller's.
 func TestProfileByAlias(t *testing.T) {
 	p, err := ProfileByAlias("GTr")
 	if err != nil || p.Name != "Gravitytetris" {
@@ -139,6 +142,19 @@ func TestProfileByAlias(t *testing.T) {
 	}
 	if n := len(Aliases()); n != 10 {
 		t.Errorf("Aliases() returned %d entries", n)
+	}
+	ps := Profiles()
+	for i, alias := range Aliases() {
+		if p, err := ProfileByAlias(alias); err != nil || p != ps[i] {
+			t.Errorf("ProfileByAlias(%s) = %+v, %v; want Table I row %d", alias, p, err, i)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ProfileByAlias("GTr") }); n != 0 {
+		t.Errorf("ProfileByAlias allocates %v times per call, want 0", n)
+	}
+	ps[0].Overdraw = 99
+	if p, _ := ProfileByAlias(ps[0].Alias); p.Overdraw == 99 {
+		t.Error("changing the slice Profiles returned changed the table")
 	}
 }
 
