@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strconv"
 	"unsafe"
 
 	"dtexl/internal/dram"
@@ -80,7 +81,9 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 	for i := range h.L1Tex {
 		c := cfg.L1Tex
-		c.Name = fmt.Sprintf("l1tex%d", i)
+		// Not fmt: its printer pool drops entries at random under the
+		// race detector, which would make the allocations of a run vary.
+		c.Name = "l1tex" + strconv.Itoa(i)
 		h.L1Tex[i] = New(c)
 	}
 	return h
@@ -99,41 +102,59 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 // remote-hop latency added when that bank belongs to another SC; remote
 // hits are pipelined interconnect traffic, not fills. len(lat) must be
 // at least len(lines), and len(lines) at most 64.
+//
+// TextureSample is ProbeTexture, then L1Latency plus FillTexture for
+// each missed line. Probing every line before the first fill gives the
+// same result as interleaving them line by line, because the L1 level
+// and the L2 are separate caches.
 func (h *Hierarchy) TextureSample(sc int, lines []uint32, lat []int64) (missMask uint64) {
-	lat = lat[:len(lines)]
-	hit := h.cfg.L1Tex.HitLatency
+	missMask = h.ProbeTexture(sc, lines)
+	for i, line := range lines {
+		lat[i] = h.L1Latency(sc, line)
+		if missMask>>i&1 != 0 {
+			lat[i] += h.FillTexture(line)
+		}
+	}
+	return missMask
+}
+
+// ProbeTexture is the L1 half of TextureSample: it looks every line up
+// in the L1 level, in order, allocating on a miss, and sets bit i of
+// the result when line i missed. With private L1s it touches only
+// shader core sc's own cache.
+func (h *Hierarchy) ProbeTexture(sc int, lines []uint32) (missMask uint64) {
 	if !h.cfg.NUCA {
 		l1 := h.L1Tex[sc]
 		for i, line := range lines {
-			if l1.hitMRU(uint64(line)) || l1.AccessLine(uint64(line)) {
-				lat[i] = hit
-				continue
+			if !l1.hitMRU(uint64(line)) && !l1.AccessLine(uint64(line)) {
+				missMask |= 1 << i
 			}
-			missMask |= 1 << i
-			lat[i] = hit + h.textureFill(line)
 		}
 		return missMask
 	}
 	n := uint32(h.cfg.NumSC)
 	for i, line := range lines {
-		bank := int(line % n)
-		l := hit
-		if bank != sc {
-			l += h.cfg.NUCARemoteLatency
+		if b := h.L1Tex[line%n]; !b.hitMRU(uint64(line)) && !b.AccessLine(uint64(line)) {
+			missMask |= 1 << i
 		}
-		if b := h.L1Tex[bank]; b.hitMRU(uint64(line)) || b.AccessLine(uint64(line)) {
-			lat[i] = l
-			continue
-		}
-		missMask |= 1 << i
-		lat[i] = l + h.textureFill(line)
 	}
 	return missMask
 }
 
-// textureFill serves an L1 texture miss on line from the L2 and, on an
-// L2 miss, DRAM, returning the latency beyond the L1 lookup.
-func (h *Hierarchy) textureFill(line uint32) int64 {
+// L1Latency is the latency shader core sc sees for line in the L1
+// level: the hit latency, plus the remote hop under NUCA when the line's
+// home bank belongs to another SC.
+func (h *Hierarchy) L1Latency(sc int, line uint32) int64 {
+	if h.cfg.NUCA && int(line%uint32(h.cfg.NumSC)) != sc {
+		return h.cfg.L1Tex.HitLatency + h.cfg.NUCARemoteLatency
+	}
+	return h.cfg.L1Tex.HitLatency
+}
+
+// FillTexture is the shared half of TextureSample: it serves an L1
+// texture miss on line from the L2 and, on an L2 miss, DRAM, returning
+// the latency beyond the L1 lookup.
+func (h *Hierarchy) FillTexture(line uint32) int64 {
 	if h.L2.AccessLine(uint64(line)) {
 		return h.cfg.L2.HitLatency
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -36,8 +37,9 @@ type CoordinatorConfig struct {
 	// Epoch is this coordinator's fencing epoch under HA. Grants and
 	// heartbeats carrying a different non-zero epoch are rejected as
 	// stale; completions and failure reports are accepted at any epoch
-	// (results are checksummed and idempotent). Zero means epochs are
-	// not enforced (single-coordinator deployments).
+	// (results are checksummed and idempotent), and the worker and
+	// lease IDs they name carry the epoch (nextIDLocked). Zero means
+	// epochs are not enforced (single-coordinator deployments).
 	Epoch uint64
 	// NodeID labels this coordinator process in stats.
 	NodeID string
@@ -121,6 +123,7 @@ type Coordinator struct {
 	workers  map[string]*workerState
 	leases   map[string]*lease
 	seq      int
+	scope    string // ID prefix, set at the first grant (nextIDLocked)
 	primed   int
 	settled  int // done + quarantined
 	done     chan struct{}
@@ -281,6 +284,26 @@ func (c *Coordinator) pendingLocked(w *workerState) *cell {
 	return first
 }
 
+// nextIDLocked returns the next worker (kind 'w') or lease (kind 'l')
+// ID, numbered in grant order and scoped to this coordinator: by its
+// epoch under HA ("e2.l5"), otherwise by the clock at its first grant,
+// in base 36 ("i<nanoseconds>.l5"). Reports carry no epoch and are
+// accepted at any epoch, so without the scope a report from an earlier
+// coordinator over the same store, delivered after a failover or
+// retried across a restart, would name the lease this coordinator
+// granted under the same number on the same cell, and release it.
+func (c *Coordinator) nextIDLocked(kind byte, now time.Time) string {
+	if c.scope == "" {
+		if c.cfg.Epoch != 0 {
+			c.scope = fmt.Sprintf("e%d.", c.cfg.Epoch)
+		} else {
+			c.scope = "i" + strconv.FormatInt(now.UnixNano(), 36) + "."
+		}
+	}
+	c.seq++
+	return c.scope + string(kind) + strconv.Itoa(c.seq)
+}
+
 // register admits a worker under a fresh ID and hands it the suite
 // contract. Registration is always accepted, whatever epoch the worker
 // last saw: it is exactly how a worker crosses a failover.
@@ -289,9 +312,8 @@ func (c *Coordinator) register(req RegisterRequest) RegisterResponse {
 	defer c.mu.Unlock()
 	now := c.cfg.now()
 	c.expireLocked(now)
-	c.seq++
 	w := &workerState{
-		id:       fmt.Sprintf("w%d", c.seq),
+		id:       c.nextIDLocked('w', now),
 		name:     req.Name,
 		lastBeat: now,
 		leases:   make(map[string]*lease),
@@ -373,8 +395,7 @@ func (c *Coordinator) lease(workerID string, epoch uint64) (resp LeaseResponse, 
 		pick, stolen = victim.cell, true
 	}
 
-	c.seq++
-	l := &lease{id: fmt.Sprintf("l%d", c.seq), worker: workerID, cell: pick, granted: now, stolen: stolen}
+	l := &lease{id: c.nextIDLocked('l', now), worker: workerID, cell: pick, granted: now, stolen: stolen}
 	c.leases[l.id] = l
 	w.leases[l.id] = l
 	w.bench = pick.spec.Bench

@@ -469,7 +469,8 @@ func threeBenchOptions() sim.Options {
 // benchmark it last leased — the prepared frame its runner holds —
 // until that benchmark's cells run out. With two workers over three
 // benchmarks the grants are deterministic, the workers open different
-// benchmarks, and every cell is granted once.
+// benchmarks, and every cell is granted once. Both sweeps run on one
+// injected clock, which the grants' worker IDs are scoped by.
 func TestSuiteCellsShardStable(t *testing.T) {
 	opt := threeBenchOptions()
 	// The lease rule never reads results, so each cell completes with
@@ -480,7 +481,8 @@ func TestSuiteCellsShardStable(t *testing.T) {
 		cell   sim.CellSpec
 	}
 	sweep := func() []grant {
-		c, _ := newTestCoordinator(t, CoordinatorConfig{Opt: opt, Logf: func(string, ...any) {}})
+		start := time.Unix(1_700_000_000, 0)
+		c, _ := newTestCoordinator(t, CoordinatorConfig{Opt: opt, Logf: func(string, ...any) {}, now: func() time.Time { return start }})
 		ids := []string{c.register(RegisterRequest{Name: "a"}).WorkerID, c.register(RegisterRequest{Name: "b"}).WorkerID}
 		pending := func(bench string) int {
 			c.mu.Lock()

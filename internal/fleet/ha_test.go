@@ -284,8 +284,8 @@ func TestElectionDeposesLivePrimary(t *testing.T) {
 // heartbeats and lease requests get 409 and change nothing, unknown
 // workers 410, and completions are accepted regardless of epoch. A
 // report for a lease an earlier-epoch coordinator granted settles its
-// cell as a late result, even when this coordinator has reissued the
-// lease ID on another cell.
+// cell as a late result, even when this coordinator has granted a lease
+// under the same number on another cell.
 func TestStaleEpochHTTPStatus(t *testing.T) {
 	opt := fleetOptions()
 	c, srv := newTestCoordinator(t, CoordinatorConfig{
@@ -345,9 +345,9 @@ func TestStaleEpochHTTPStatus(t *testing.T) {
 		t.Errorf("complete status = %d, want 200", got)
 	}
 
-	// An epoch-1 coordinator over the same store issues IDs from l1
-	// again: grant there until it hands out the ID of this coordinator's
-	// live lease, on a cell of its own.
+	// An epoch-1 coordinator over the same store numbers its leases from
+	// 1 again: grant there until it hands out the number of this
+	// coordinator's live lease, on a cell of its own.
 	live, ok, _ := c.lease(reg.WorkerID, 2)
 	if !ok || live.LeaseID == "" {
 		t.Fatalf("no second lease: %+v", live)
@@ -359,8 +359,9 @@ func TestStaleEpochHTTPStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldReg := old.register(RegisterRequest{Name: "w"})
+	number := func(id string) string { return id[strings.LastIndexByte(id, '.')+1:] }
 	var oldGrant LeaseResponse
-	for oldGrant.LeaseID != live.LeaseID {
+	for oldGrant.LeaseID == "" || number(oldGrant.LeaseID) != number(live.LeaseID) {
 		if oldGrant, ok, _ = old.lease(oldReg.WorkerID, 1); !ok || oldGrant.LeaseID == "" {
 			t.Fatalf("epoch-1 coordinator granted no lease: %+v", oldGrant)
 		}
@@ -379,6 +380,64 @@ func TestStaleEpochHTTPStatus(t *testing.T) {
 	}
 	if after.Leased != 1 {
 		t.Errorf("leased = %d after the earlier-epoch report, want 1: lease %s on %s stays live", after.Leased, live.LeaseID, live.Cell.ID())
+	}
+}
+
+// TestReportsFromAnEarlierCoordinator: every coordinator numbers its
+// workers and leases in grant order, and reports carry no epoch. Two
+// coordinators over empty stores, at epochs 1 and 2 (a failover) or both
+// at epoch 0 and started a minute apart (a restart without HA), each
+// lease TRu/baseline to their first worker under the same number. The
+// earlier coordinator's fail report, and its completion with a bad
+// checksum, sent to the later one must leave that coordinator's lease
+// live. Unscoped, both grants would be w1/l2, and the fail report
+// would release the lease for "failure".
+func TestReportsFromAnEarlierCoordinator(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		epochs [2]uint64
+	}{{"failover", [2]uint64{1, 2}}, {"restart", [2]uint64{0, 0}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cs [2]*Coordinator
+			var regs [2]RegisterResponse
+			var grants [2]LeaseResponse
+			for i, epoch := range tc.epochs {
+				now := time.Unix(1_700_000_000, 0).Add(time.Duration(i) * time.Minute)
+				cs[i], _ = newTestCoordinator(t, CoordinatorConfig{
+					Epoch: epoch, HeartbeatTimeout: time.Hour, now: func() time.Time { return now },
+				})
+				regs[i] = cs[i].register(RegisterRequest{Name: "w"})
+				g, ok, _ := cs[i].lease(regs[i].WorkerID, epoch)
+				if !ok || g.LeaseID == "" || g.Cell.ID() != "TRu/baseline" {
+					t.Fatalf("coordinator %d granted %+v, want a lease on TRu/baseline", i, g)
+				}
+				grants[i] = g
+			}
+			number := func(id string) string { return id[strings.LastIndexByte(id, '.')+1:] }
+			if number(grants[0].LeaseID) != number(grants[1].LeaseID) {
+				t.Fatalf("leases %s and %s carry different numbers; the test needs the same", grants[0].LeaseID, grants[1].LeaseID)
+			}
+			if grants[0].LeaseID == grants[1].LeaseID || regs[0].WorkerID == regs[1].WorkerID {
+				t.Errorf("both coordinators issued worker %s and lease %s", regs[1].WorkerID, grants[1].LeaseID)
+			}
+
+			later := cs[1]
+			later.fail(FailRequest{WorkerID: regs[0].WorkerID, LeaseID: grants[0].LeaseID, Cell: grants[0].Cell, Error: "injected"})
+			if st := later.Stats(); st.Leased != 1 || st.Reassigned != 0 {
+				t.Fatalf("earlier fail report of %s: leased %d, reassigned %d (%+v); want 1, 0",
+					grants[0].LeaseID, st.Leased, st.Reassigned, st.Reassignments)
+			}
+			payload := []byte(`{"Metrics":{}}`)
+			if err := later.complete(CompleteRequest{
+				WorkerID: regs[0].WorkerID, LeaseID: grants[0].LeaseID, Cell: grants[0].Cell, Result: payload, Sum: "bad",
+			}); err == nil {
+				t.Fatal("completion with a bad checksum accepted")
+			}
+			if st := later.Stats(); st.Leased != 1 || st.Reassigned != 0 || st.RejectedResults != 1 {
+				t.Errorf("earlier rejected completion of %s: leased %d, reassigned %d, rejected %d; want 1, 0, 1",
+					grants[0].LeaseID, st.Leased, st.Reassigned, st.RejectedResults)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"dtexl/internal/cache"
@@ -9,10 +10,10 @@ import (
 )
 
 // The microbenchmarks cover the simulator's hot path layer by layer —
-// tile rasterization, frame preparation, the shader-core step loop, and
-// a whole frame in both barrier disciplines — on the same mid-size
-// scene. CI compares them against BENCH_baseline.txt (see
-// .github/workflows/ci.yml).
+// tile rasterization, frame preparation, the shader-core step loop, a
+// prepared frame's raster phase and a whole frame in both barrier
+// disciplines — on the same mid-size scene. CI compares them against
+// BENCH_baseline.txt (see .github/workflows/ci.yml).
 
 func benchScene(b *testing.B, alias string, cfg Config) *trace.Scene {
 	b.Helper()
@@ -104,6 +105,41 @@ func BenchmarkRunFrame(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRunPrepared measures the raster phase alone: one prepared
+// frame simulated in both barrier disciplines, with the stepping
+// kernel's run-ahead and with the stepwise reference that runs every
+// step whole in global order. The pair is the in-process A/B of the
+// run-ahead engine.
+func BenchmarkRunPrepared(b *testing.B) {
+	for _, decoupled := range []bool{false, true} {
+		cfg := benchConfig()
+		cfg.Decoupled = decoupled
+		prep, err := PrepareFrame(benchScene(b, "SWa", cfg), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		discipline := "coupled"
+		if decoupled {
+			discipline = "decoupled"
+		}
+		for _, mode := range []struct {
+			name string
+			ctx  context.Context
+		}{
+			{"runahead", context.Background()},
+			{"stepwise", context.WithValue(context.Background(), stepwiseKey{}, true)},
+		} {
+			b.Run(discipline+"/"+mode.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := RunPreparedContext(mode.ctx, prep, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -14,8 +14,9 @@
 //
 // Every executor is deterministic and single-threaded: one serial drive
 // loop per barrier discipline (coupled, decoupled, and the IMR
-// reference) steps the shader cores in ascending (clock, SC index)
-// order, the event order DTexL's cache effects depend on. Parallelism
+// reference) steps the shader cores through one stepping kernel, whose
+// steps reach shared state in ascending (clock, SC index) order, the
+// event order DTexL's cache effects depend on. Parallelism
 // lives above the pipeline, across independent simulations; the
 // concurrency & determinism contract is DESIGN.md §11.
 package pipeline

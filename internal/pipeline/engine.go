@@ -105,6 +105,7 @@ func rasterFrame(ctx context.Context, cfg Config, hier *cache.Hierarchy, geo Geo
 	ex := newExecutor(cfg, hier, geo.Primitives, binning)
 	ex.raster.cov.pre = covers
 	ex.wd = newWatchdog(ctx, cfg)
+	ex.es.runAhead = runsAhead(ctx, cfg)
 	if cfg.SampleEvery > 0 {
 		ex.es.sampler = newIntervalSampler(cfg.SampleEvery, ex.scs, hier)
 	}
@@ -457,28 +458,66 @@ func (ex *executor) drainAll() error {
 	return nil
 }
 
-// drainSCs steps SCs — always the one with the smallest clock, lowest
-// index on ties — until none has pending work, and returns the
-// watchdog's stall reason or error if it stops early. Only the stepped
-// SC's state can change between picks (no retire callback moves another
-// SC), so after one pick the SC steps repeatedly while it still precedes
-// the runner-up: the step sequence is exactly the rescan-per-step one.
+// drainSCs turns the stepping kernel until no SC has pending work, and
+// returns the watchdog's stall reason or error if it stops early.
 func drainSCs(wd *watchdog, es *engineState, scs []*scState) (reason string, err error) {
 	for {
-		first, second := nextSC(scs)
-		if first == noSC {
-			return "", nil
-		}
-		best := scs[first&scKeyMask]
-		for {
-			if reason, err := wd.step(es, best); reason != "" || err != nil {
-				return reason, err
-			}
-			if !best.pending() || best.key() > second {
-				break
-			}
+		stepped, reason, err := turn(wd, es, scs)
+		if !stepped || reason != "" || err != nil {
+			return reason, err
 		}
 	}
+}
+
+// turn is the stepping kernel of every drive loop. It steps the front
+// SC, the pending SC with the smallest key, and reports false when no
+// SC is pending. Steps run in global (clock, SC index) order only where
+// they touch state outside their SC, so that L2 interleaving follows
+// simulated time (DESIGN.md §3).
+//
+// Without run-ahead the front SC steps while its key stays below the
+// runner-up's, which is exactly the rescan-per-step order. With
+// run-ahead it keeps stepping past the runner-up while its steps touch
+// only its own state. A step past the runner-up that needs shared
+// state holds that part (engineState.holds) and ends the turn; the SC's
+// key stays the step's start key, and a later turn that finds it the
+// global minimum completes the step. Either way a turn also ends when
+// the SC runs out of work, because only then can a retire have moved
+// the decoupled window, and the drive loop feeds SCs before the next
+// turn.
+func turn(wd *watchdog, es *engineState, scs []*scState) (stepped bool, reason string, err error) {
+	first, second := nextSC(scs)
+	if first == noSC {
+		return false, "", nil
+	}
+	sc := scs[first&scKeyMask]
+	stop := second
+	if es.runAhead {
+		es.limit, stop = second, noSC
+	}
+	for {
+		if reason, err = wd.step(es, sc); reason != "" || err != nil {
+			return true, reason, err
+		}
+		if !sc.pending() || sc.held || sc.key() > stop {
+			return true, "", nil
+		}
+	}
+}
+
+// stepwiseKey flags a context whose simulations keep the kernel's
+// batches without run-ahead: the reference the run-ahead engine must
+// match.
+type stepwiseKey struct{}
+
+// runsAhead reports whether the kernel may run SCs ahead under cfg and
+// ctx: not under NUCA, where every L1 probe reaches a shared bank, and
+// not with TexturePrefetch, which fills at admission. Interval sampling
+// runs ahead: a boundary crossing records only its own SC's state and
+// own L1, and a sample's L2 delta is taken around its fills, which run
+// in global order.
+func runsAhead(ctx context.Context, cfg Config) bool {
+	return !cfg.Hierarchy.NUCA && !cfg.TexturePrefetch && ctx.Value(stepwiseKey{}) == nil
 }
 
 // scKeyBits is the index width of an SC's packed key: Validate allows
@@ -578,8 +617,12 @@ func (ex *executor) runDecoupled() error {
 	}
 	scs := ex.scs
 	for {
-		// Feed drained SCs (index order — advances touch the hierarchy).
-		feedGen := ex.windowGen
+		// Feed drained SCs (index order: advances touch the hierarchy).
+		// A turn ends whenever its SC drains, so every retire that moved
+		// the window is fed before the next step, as stepping one SC per
+		// pass would. One pass suffices: an SC that fails its advance
+		// leaves no room to extend the window at this generation, so no
+		// later advance in the pass can move it.
 		for _, sc := range scs {
 			if !sc.pending() && ex.dFail[sc.id] != ex.windowGen {
 				if ex.decAdvance(sc) {
@@ -589,8 +632,14 @@ func (ex *executor) runDecoupled() error {
 				}
 			}
 		}
-		first, second := nextSC(scs)
-		if first == noSC {
+		stepped, reason, err := turn(&ex.wd, ex.es, scs)
+		if err != nil {
+			return err
+		}
+		if reason != "" {
+			return ex.stallErr("decoupled", reason)
+		}
+		if !stepped {
 			if ex.lo >= n && ex.hi >= n {
 				break
 			}
@@ -606,29 +655,6 @@ func (ex *executor) runDecoupled() error {
 			// the watchdog instead of spinning forever.
 			if ex.wd.idleTick() {
 				return ex.stallErr("decoupled", "window stalled: rasterizer cannot advance")
-			}
-			continue
-		}
-		// One pick finds the minimum and runner-up keys; the minimum SC
-		// then steps repeatedly while it still precedes the runner-up.
-		// The batch stops as soon as the window moved — a retire may have
-		// unparked another SC, which must be fed (and may preempt) before
-		// the next step, exactly as the feed-before-every-step loop did.
-		// A feed pass that itself moved the window limits the batch to a
-		// single step for the same reason.
-		feedMoved := ex.windowGen != feedGen
-		best := scs[first&scKeyMask]
-		for {
-			gen := ex.windowGen
-			reason, err := ex.wd.step(ex.es, best)
-			if err != nil {
-				return err
-			}
-			if reason != "" {
-				return ex.stallErr("decoupled", reason)
-			}
-			if feedMoved || ex.windowGen != gen || !best.pending() || best.key() > second {
-				break
 			}
 		}
 	}

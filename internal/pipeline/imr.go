@@ -67,6 +67,7 @@ func RunIMRContext(ctx context.Context, scene *trace.Scene, cfg Config) (*Metric
 		}
 	}
 	im.wd = newWatchdog(ctx, cfg)
+	im.es.runAhead = runsAhead(ctx, cfg)
 	if cfg.SampleEvery > 0 {
 		im.es.sampler = newIntervalSampler(cfg.SampleEvery, im.scs, hier)
 	}
@@ -162,8 +163,6 @@ func (im *imrExecutor) run(prims []Primitive) error {
 				return im.stallErr("injected chaos stall")
 			}
 		}
-		// No retire callback: only the stepped SC's state can change
-		// between picks, as in the TBR coupled drain.
 		reason, err := drainSCs(&im.wd, im.es, im.scs)
 		if err != nil {
 			return err

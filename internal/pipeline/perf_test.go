@@ -136,6 +136,7 @@ func TestCoupledSteadyStateZeroAlloc(t *testing.T) {
 	ex := newExecutor(cfg, hier, geo.Primitives, bin)
 	ex.raster.cov.pre = covers
 	ex.wd = newWatchdog(context.Background(), cfg)
+	ex.es.runAhead = runsAhead(context.Background(), cfg)
 	// Instrumentation-off invariance: with the default SampleEvery == 0
 	// no sampler exists, so the only observability cost on this path is
 	// the stall counters' integer adds — which allocate nothing.
@@ -218,6 +219,39 @@ func TestPreparedSizeBytesCoversRetainedSlices(t *testing.T) {
 		retained += snapshot
 		if est := prep.SizeBytes(); est < retained {
 			t.Errorf("%s: SizeBytes %d below the %d retained slice bytes", alias, est, retained)
+		}
+	}
+}
+
+// TestPreparedRunAllocsIndependentOfTiles guards the allocation-free
+// steady state of both barrier disciplines end to end: a prepared
+// frame's RunPrepared allocates per-frame setup only (hierarchy,
+// executor, per-tile arrays and metrics), so the count of allocations
+// must not grow with the tile count, from scale 16 to scale 4 (16× the
+// tiles).
+func TestPreparedRunAllocsIndependentOfTiles(t *testing.T) {
+	for _, decoupled := range []bool{false, true} {
+		var want float64
+		for i, scale := range []int{16, 8, 4} {
+			cfg := DefaultConfig()
+			cfg.Width, cfg.Height = 1960/scale, 768/scale
+			cfg.Decoupled = decoupled
+			prep, err := PrepareFrame(testScene(t, "SWa", cfg), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := testing.AllocsPerRun(3, func() {
+				if _, err := RunPrepared(prep, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("decoupled=%v scale %d: %.0f allocs/frame", decoupled, scale, got)
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("decoupled=%v: scale %d allocates %.0f per frame, scale 16 %.0f: allocations grow with the tile count",
+					decoupled, scale, got, want)
+			}
 		}
 	}
 }

@@ -96,7 +96,7 @@ type tileCover struct {
 	quads []coverQuad
 	spans []span
 	// lines are texture line numbers (address >> 6), the unit the cache
-	// hierarchy's TextureSample probes.
+	// hierarchy probes.
 	lines []uint32
 	// culled counts quads fully rejected by Early-Z.
 	culled uint64

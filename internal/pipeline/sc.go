@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"dtexl/internal/cache"
-	"dtexl/internal/texture"
 	"dtexl/internal/trace"
 )
 
@@ -70,6 +69,16 @@ type scState struct {
 	lastRetire   int64
 	// rrNext is the round-robin warp scheduler's rotation pointer.
 	rrNext int
+
+	// held marks a step that ran its private part ahead of global order
+	// and holds its shared part (see engineState.holds): the L2 fills of
+	// warp heldWarp's sample heldLines, whose L1 probe left the miss mask
+	// heldMiss, or, with no lines, the retire of the SC's last quad. The
+	// SC's clock stays at the step's start until the kernel completes it.
+	held      bool
+	heldWarp  int
+	heldLines []uint32
+	heldMiss  uint64
 }
 
 // setInput points the SC at its quad queue for one tile. gate is the
@@ -108,6 +117,15 @@ func segLen(instr int16, samples, stage int8) int64 {
 // resolve a gate first). The SC issues work for, or jumps its clock to,
 // the earliest actionable event.
 func (sc *scState) step(e *engineState) bool {
+	if sc.held {
+		// The kernel picked the SC, so the held step's key is the global
+		// minimum: its shared part runs now.
+		sc.exec(e, sc.heldWarp)
+		if e.sampler != nil && sc.clock >= e.sampler.next[sc.id] {
+			e.sampler.cross(sc)
+		}
+		return true
+	}
 	// Admit as many quads as fit: warp slots are filled greedily so
 	// latency hiding is maximal.
 	if sc.inTile != nil && sc.inGate <= sc.clock {
@@ -232,10 +250,35 @@ func (sc *scState) schedule(e *engineState, best int, minReady int64) (pick, rrN
 	return pick, rrNext
 }
 
-// exec runs one stage of warp w: its compute segment and, if stages
-// remain, its next texture sample.
+// exec runs one stage of warp wi: its compute segment and, if stages
+// remain, its next texture sample. The sample's L1 probe runs first,
+// since it touches only the SC's own state. A step that needs shared
+// state (an L2 fill, or the retire that leaves a decoupled SC without
+// work) and started past the kernel's limit holds that part instead;
+// the kernel completes it, through exec again, once the step's key is
+// the global minimum.
 func (sc *scState) exec(e *engineState, wi int) {
 	w := &sc.warps[wi]
+	var lines []uint32
+	var miss uint64
+	switch {
+	case sc.held:
+		sc.held = false
+		lines, miss = sc.heldLines, sc.heldMiss
+	case w.stage < w.samples:
+		if !w.prefetched {
+			lines = w.tile.cov.sample(w.firstSpan + int32(w.stage))
+			miss = e.hier.ProbeTexture(sc.id, lines)
+			if miss != 0 && e.holds(sc) {
+				sc.held, sc.heldWarp, sc.heldLines, sc.heldMiss = true, wi, lines, miss
+				return
+			}
+		}
+	case e.retire != nil && len(sc.warps) == 1 && !sc.hasInput() && e.holds(sc):
+		sc.held, sc.heldWarp, sc.heldLines, sc.heldMiss = true, wi, nil, 0
+		return
+	}
+
 	seg := int64(w.segN)
 	if w.stage == 0 {
 		seg = int64(w.seg0)
@@ -254,7 +297,7 @@ func (sc *scState) exec(e *engineState, wi int) {
 				ready = f
 			}
 		} else {
-			ready = sc.accessSample(e, w.tile.cov.sample(w.firstSpan+int32(w.stage)))
+			ready = sc.fillSample(e, lines, miss)
 		}
 		w.stage++
 		sc.ready[wi] = ready
@@ -274,11 +317,11 @@ func (sc *scState) exec(e *engineState, wi int) {
 	sc.ready = sc.ready[:last]
 }
 
-// accessSample probes one sample's cache lines at the current clock in
-// one hierarchy call and returns when its data is complete: hits
-// pipeline under the base latency; misses queue on the SC's L1 fill
-// ports in line order.
-func (sc *scState) accessSample(e *engineState, lines []uint32) int64 {
+// fillSample completes a sample whose L1 probe left the miss mask miss,
+// and returns when its data is complete: hits pipeline under the base
+// latency, and misses are filled from the L2 and DRAM in line order and
+// queue on the SC's L1 fill ports.
+func (sc *scState) fillSample(e *engineState, lines []uint32, miss uint64) int64 {
 	if sc.fillFree == nil {
 		sc.fillFree = make([]int64, e.cfg.L1FillPorts)
 	}
@@ -286,19 +329,21 @@ func (sc *scState) accessSample(e *engineState, lines []uint32) int64 {
 	if e.sampler != nil {
 		l2Before = e.hier.L2.Stats()
 	}
-	var lat [texture.MaxFootprintLines]int64
-	miss := e.hier.TextureSample(sc.id, lines, lat[:])
 	issue := sc.clock + e.cfg.SampleOverhead
 	ready := issue + e.cfg.Hierarchy.L1Tex.HitLatency
-	for i, l := range lat[:len(lines)] {
-		if miss>>i&1 == 0 {
-			// Pipelined hit: local hits are covered by the base latency;
-			// NUCA remote hits add interconnect latency without occupying
-			// a fill port.
-			ready = max(ready, issue+l)
-			continue
+	if e.cfg.Hierarchy.NUCA {
+		// Remote hits add interconnect latency without occupying a fill
+		// port; local hits are covered by the base latency.
+		for i, line := range lines {
+			if miss>>i&1 == 0 {
+				ready = max(ready, issue+e.hier.L1Latency(sc.id, line))
+			}
 		}
-		// Miss: grab the earliest-free fill port.
+	}
+	for m := miss; m != 0; m &= m - 1 {
+		line := lines[bits.TrailingZeros64(m)]
+		l := e.hier.L1Latency(sc.id, line) + e.hier.FillTexture(line)
+		// Grab the earliest-free fill port.
 		port := 0
 		for p := 1; p < len(sc.fillFree); p++ {
 			if sc.fillFree[p] < sc.fillFree[port] {
@@ -323,7 +368,8 @@ func (sc *scState) accessSample(e *engineState, lines []uint32) int64 {
 // identical to demand fetching; only the start times move earlier.
 func (sc *scState) prefetch(e *engineState, w *warpState) {
 	for s := int8(0); s < w.samples; s++ {
-		w.fills[s] = sc.accessSample(e, w.tile.cov.sample(w.firstSpan+int32(s)))
+		lines := w.tile.cov.sample(w.firstSpan + int32(s))
+		w.fills[s] = sc.fillSample(e, lines, e.hier.ProbeTexture(sc.id, lines))
 	}
 	w.prefetched = true
 }
@@ -339,4 +385,18 @@ type engineState struct {
 	// time series; nil (the default) keeps the hot path at one pointer
 	// comparison per step.
 	sampler *intervalSampler
+
+	// runAhead lets the stepping kernel run the front SC past the
+	// runner-up (see turn), and limit is the runner-up's key while it
+	// does. A runner-up key is never 0, since the front SC's key is
+	// smaller, so the zero value keeps every step whole.
+	runAhead bool
+	limit    int64
+}
+
+// holds reports whether sc's current step, which needs shared state,
+// must hold that part: the kernel let the SC run ahead and the step
+// started past the runner-up's key.
+func (e *engineState) holds(sc *scState) bool {
+	return e.limit != 0 && sc.key() > e.limit
 }

@@ -23,6 +23,10 @@ type SCStallState struct {
 	QueuedQuads   int    `json:"queued_quads"`   // un-admitted quads in the current input stream
 	InputGate     int64  `json:"input_gate"`     // earliest admission cycle of that input
 	Retired       uint64 `json:"retired"`        // quads retired so far
+	// Held is "fill" or "retire" while the SC holds a step that ran
+	// ahead of global order and waits to take its shared part: the
+	// sample's L2 fills or the retire of its last quad (engineState.holds).
+	Held string `json:"held,omitempty"`
 }
 
 // StallError is the structured diagnostic an executor returns when it
@@ -71,8 +75,12 @@ func (e *StallError) Dump() string {
 	fmt.Fprintf(&b, "  in-flight tile: seq=%d (%d,%d)  window: lo=%d hi=%d\n",
 		e.TileSeq, e.TileX, e.TileY, e.WindowLo, e.WindowHi)
 	for _, sc := range e.SCs {
-		fmt.Fprintf(&b, "  SC%d: clock=%d warps=%d queued=%d gate=%d retired=%d\n",
+		fmt.Fprintf(&b, "  SC%d: clock=%d warps=%d queued=%d gate=%d retired=%d",
 			sc.ID, sc.Clock, sc.ResidentWarps, sc.QueuedQuads, sc.InputGate, sc.Retired)
+		if sc.Held != "" {
+			fmt.Fprintf(&b, " held=%s", sc.Held)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -90,6 +98,12 @@ func scStallStates(scs []*scState) []SCStallState {
 		if sc.inTile != nil {
 			st.QueuedQuads = len(sc.inTile.perSC[sc.id]) - sc.inPos
 			st.InputGate = sc.inGate
+		}
+		if sc.held {
+			st.Held = "fill"
+			if sc.heldLines == nil {
+				st.Held = "retire"
+			}
 		}
 		out[i] = st
 	}

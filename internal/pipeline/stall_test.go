@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -160,5 +161,33 @@ func TestCleanRunsStayClean(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: clean run failed: %v", mode, err)
 		}
+	}
+}
+
+// TestStallDumpShowsHeldStep: an SC that ran ahead and holds a step
+// waiting for global order is marked in the dump, as "fill" for a
+// sample's L2 fills and "retire" for the retire of its last quad, and
+// the field is omitted from the JSON of every other SC.
+func TestStallDumpShowsHeldStep(t *testing.T) {
+	held := &scState{id: 1, warps: []warpState{{samples: 2}}, ready: []int64{0}, held: true, heldLines: []uint32{7}}
+	se := &StallError{Mode: "decoupled", SCs: scStallStates([]*scState{{id: 0}, held})}
+	if se.SCs[0].Held != "" || se.SCs[1].Held != "fill" {
+		t.Fatalf("held = %q, %q; want \"\", \"fill\"", se.SCs[0].Held, se.SCs[1].Held)
+	}
+	held.heldLines = nil
+	se.SCs = scStallStates([]*scState{{id: 0}, held})
+	if se.SCs[1].Held != "retire" {
+		t.Fatalf("held = %q without lines, want \"retire\"", se.SCs[1].Held)
+	}
+	if dump := se.Dump(); !strings.Contains(dump, "SC1: clock=0 warps=1 queued=0 gate=0 retired=0 held=retire\n") ||
+		strings.Contains(dump, "SC0: clock=0 warps=0 queued=0 gate=0 retired=0 held") {
+		t.Errorf("dump does not mark exactly the held SC:\n%s", dump)
+	}
+	raw, err := json.Marshal(se.SCs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), `"held":`); n != 1 {
+		t.Errorf("%d SCs carry a held field in %s, want 1", n, raw)
 	}
 }
