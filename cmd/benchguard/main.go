@@ -11,33 +11,45 @@
 //
 // Usage:
 //
-//	benchguard -old BENCH_baseline.txt -new bench_new.txt -threshold 0.15 [-json report.json]
-//
-// -json additionally writes the comparison as a perfdb.Report — the
-// machine-readable artifact the continuous-perf service ingests
-// (`dtexlperf ingest`); its exact shape is locked by this command's
-// golden-file test.
+//	benchguard -old BENCH_baseline.txt -new bench_new.txt -threshold 0.15
 //
 // Exit codes: 0 = within threshold; 1 = regression; 2 = bad input (a
 // file is unreadable, or no benchmark appears in both files).
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"regexp"
 	"sort"
+	"strconv"
 
-	"dtexl/internal/perfdb"
 	"dtexl/internal/stats"
 )
 
+// report is one comparison: a row per common benchmark and the
+// geometric mean of their ratios, the pass/fail statistic.
+type report struct {
+	Threshold    float64
+	Benchmarks   []benchmarkRow
+	GeomeanRatio float64
+	Pass         bool
+}
+
+// benchmarkRow compares one benchmark's median ns/op.
+type benchmarkRow struct {
+	Name       string
+	OldNsPerOp float64
+	NewNsPerOp float64
+	Ratio      float64 // new/old medians
+}
+
 // buildReport compares two parsed bench runs over their common
 // benchmarks. Pure: the testable core of the command.
-func buildReport(oldName, newName string, oldRuns, newRuns map[string][]float64, threshold float64) (*perfdb.Report, error) {
+func buildReport(oldRuns, newRuns map[string][]float64, threshold float64) (*report, error) {
 	names := make([]string, 0, len(oldRuns))
 	for name := range oldRuns {
 		if _, ok := newRuns[name]; ok {
@@ -49,29 +61,27 @@ func buildReport(oldName, newName string, oldRuns, newRuns map[string][]float64,
 		return nil, fmt.Errorf("no benchmark appears in both files")
 	}
 
-	rep := &perfdb.Report{Old: oldName, New: newName, Threshold: threshold}
-	logSum := 0.0
-	for _, name := range names {
+	rep := &report{Threshold: threshold}
+	ratios := make([]float64, len(names))
+	for i, name := range names {
 		o := stats.Median(oldRuns[name])
 		n := stats.Median(newRuns[name])
-		ratio := n / o
-		logSum += math.Log(ratio)
-		rep.Benchmarks = append(rep.Benchmarks, perfdb.BenchmarkReport{
+		ratios[i] = n / o
+		rep.Benchmarks = append(rep.Benchmarks, benchmarkRow{
 			Name:       name,
 			OldNsPerOp: o,
 			NewNsPerOp: n,
-			Ratio:      ratio,
-			OldSamples: oldRuns[name],
-			NewSamples: newRuns[name],
+			Ratio:      ratios[i],
 		})
 	}
-	rep.GeomeanRatio = math.Exp(logSum / float64(len(names)))
+	// Every ratio is positive: the parser keeps only positive samples.
+	rep.GeomeanRatio = stats.GeoMean(ratios)
 	rep.Pass = rep.GeomeanRatio <= 1+threshold
 	return rep, nil
 }
 
 // render prints the human-readable table the CI log shows.
-func render(w io.Writer, rep *perfdb.Report) {
+func render(w io.Writer, rep *report) {
 	fmt.Fprintf(w, "%-50s %12s %12s %8s\n", "benchmark", "old ns/op", "new ns/op", "ratio")
 	for _, b := range rep.Benchmarks {
 		fmt.Fprintf(w, "%-50s %12.1f %12.1f %7.3fx\n", b.Name, b.OldNsPerOp, b.NewNsPerOp, b.Ratio)
@@ -80,31 +90,43 @@ func render(w io.Writer, rep *perfdb.Report) {
 		rep.GeomeanRatio, len(rep.Benchmarks), 1+rep.Threshold)
 }
 
-// marshalReport renders the -json artifact: indented, trailing
-// newline, fields in struct order — the golden-file test pins these
-// bytes.
-func marshalReport(rep *perfdb.Report) ([]byte, error) {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 func parseFile(path string) (map[string][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return perfdb.ParseGoBenchSamples(f)
+	return parseGoBenchSamples(f)
+}
+
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
+
+// parseGoBenchSamples reads `go test -bench` output into benchmark
+// name -> ns/op samples (one per -count repetition). The trailing -N
+// GOMAXPROCS suffix is stripped so runs from hosts with different
+// core counts compare.
+func parseGoBenchSamples(r io.Reader) (map[string][]float64, error) {
+	out := make(map[string][]float64)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[2], 64)
+		if err != nil || v <= 0 {
+			continue
+		}
+		out[m[1]] = append(out[m[1]], v)
+	}
+	return out, sc.Err()
 }
 
 func main() {
 	oldPath := flag.String("old", "BENCH_baseline.txt", "baseline benchmark output")
 	newPath := flag.String("new", "", "candidate benchmark output")
 	threshold := flag.Float64("threshold", 0.15, "maximum allowed geomean slowdown (0.15 = +15%)")
-	jsonPath := flag.String("json", "", "also write the comparison as a JSON report (ingestible by dtexlperf)")
 	flag.Parse()
 	if *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -new is required")
@@ -121,23 +143,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	rep, err := buildReport(*oldPath, *newPath, oldRuns, newRuns, *threshold)
+	rep, err := buildReport(oldRuns, newRuns, *threshold)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
 	}
 	render(os.Stdout, rep)
-	if *jsonPath != "" {
-		data, err := marshalReport(rep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchguard:", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchguard:", err)
-			os.Exit(2)
-		}
-	}
 	if !rep.Pass {
 		fmt.Fprintf(os.Stderr, "benchguard: geomean regression %.1f%% exceeds %.1f%%\n",
 			(rep.GeomeanRatio-1)*100, *threshold*100)

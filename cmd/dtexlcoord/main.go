@@ -77,7 +77,7 @@ func run() int {
 		hbTimeout = flag.Duration("heartbeat-timeout", 0, "lapse after which a worker's leases are reassigned (0 = 4x -heartbeat)")
 		budget    = flag.Int("retry-budget", fleet.DefaultRetryBudget, "lease grants per cell before quarantine")
 		stealAft  = flag.Duration("steal-after", fleet.DefaultStealAfter, "lease age past which idle workers may steal the cell")
-		exps      = flag.String("exps", "", "comma-separated experiments to render from the store once the suite settles")
+		exps      = flag.String("exps", "", "comma-separated experiments to render from the store once the suite settles (checked at start)")
 		out       = flag.String("out", "", "write the rendered experiments to this file (default stdout)")
 		exitDone  = flag.Bool("exit-when-done", false, "exit once the suite settles (after rendering -exps)")
 		maxBytes  = flag.Int64("store-max-bytes", 0, "GC the store oldest-first to at most this many bytes (0 = unbounded); the live sweep's entries are never evicted")
@@ -105,6 +105,15 @@ func run() int {
 	if err != nil {
 		log.Printf("dtexlcoord: %v", err)
 		return 1
+	}
+	// Check -exps now: they are rendered only once the sweep settles.
+	if *exps != "" {
+		for _, id := range strings.Split(*exps, ",") {
+			if err := sim.CheckExperimentID(id); err != nil {
+				log.Printf("dtexlcoord: -exps: %v", err)
+				return 1
+			}
+		}
 	}
 	store, err := sim.OpenStore(*storeDir)
 	if err != nil {

@@ -72,10 +72,8 @@ func FuzzReadRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := db.Append([]perfdb.Point{
-		{Commit: "c1", Series: "BenchmarkRunDTexL", Unit: "ns/op", Samples: []float64{1.5e6, 1.52e6}},
-		{Commit: "c1", Series: "metrics.decoupled.L2.Hits", Samples: []float64{4096}},
-	}); err != nil {
+	doc := []byte(`{"L2": {"Hits": 4096}, "PerSCBusy": [1.5e6, 1.52e6], "Decoupled": true}`)
+	if _, _, err := db.Ingest(perfdb.FormatAuto, "c1", "decoupled.json", doc); err != nil {
 		f.Fatal(err)
 	}
 	db.Close()

@@ -1,7 +1,6 @@
 // Package netauth is the shared transport-hardening layer for every
-// networked surface in the repo: the fleet protocol (internal/fleet),
-// the simulation service (internal/serve), and the continuous-perf
-// service (internal/perfdb).
+// networked surface in the repo: the fleet protocol (internal/fleet)
+// and the simulation service (internal/serve).
 //
 // It provides exactly two mechanisms, applied uniformly:
 //
@@ -18,8 +17,8 @@
 //
 // The Flags struct registers the same flag names on every command
 // (-auth-token, -auth-token-file, -tls-cert, -tls-key, -tls-ca,
-// -tls-client-ca, -tls-insecure), so operating the fleet, the serving
-// API and the perf service is one set of habits, not three.
+// -tls-client-ca, -tls-insecure), so operating the fleet and the
+// serving API is one set of habits, not two.
 package netauth
 
 import (

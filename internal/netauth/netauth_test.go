@@ -77,7 +77,7 @@ func TestMiddlewareOpenPredicates(t *testing.T) {
 	}{
 		{http.MethodGet, "/healthz", http.StatusOK},
 		{http.MethodGet, "/api/stats", http.StatusOK}, // read-only open
-		{http.MethodPost, "/api/ingest", http.StatusUnauthorized},
+		{http.MethodPost, "/v1/simulate", http.StatusUnauthorized},
 		{http.MethodPost, "/healthz", http.StatusOK}, // exact path open regardless of method
 	} {
 		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, nil)

@@ -9,13 +9,13 @@ import (
 	"testing"
 )
 
-// TestGoldenMetricsRoundTrip is the satellite guard against silent
-// metric loss: every numeric-bearing field of the real golden-metrics
-// documents (internal/pipeline's observability goldens) must surface
-// as an ingested series. The expectation is computed by an independent
-// JSON walk here — NOT by calling the ingester's own flattener — so if
-// ParseGoldenMetrics is ever rewritten around a hand-kept field list,
-// a Metrics field it forgot fails this test, i.e. fails CI.
+// TestGoldenMetricsRoundTrip guards against silent metric loss: every
+// numeric-bearing field of the real golden-metrics documents
+// (internal/pipeline's observability goldens) must surface as an
+// ingested series. The expectation is computed by an independent JSON
+// walk here — NOT by calling the ingester's own flattener — so if
+// Ingest is ever rewritten around a hand-kept field list, a Metrics
+// field it forgot fails this test.
 func TestGoldenMetricsRoundTrip(t *testing.T) {
 	goldens, err := filepath.Glob(filepath.Join("..", "pipeline", "testdata", "golden_metrics_*.json"))
 	if err != nil || len(goldens) == 0 {
@@ -68,7 +68,7 @@ func TestGoldenMetricsRoundTrip(t *testing.T) {
 // walkNumericPaths is this test's own notion of which dotted paths a
 // metrics document must produce: one per JSON number or bool leaf,
 // array elements sharing their array's path. Deliberately independent
-// of flattenJSON.
+// of flatten.
 func walkNumericPaths(v any, path string, visit func(string)) {
 	switch t := v.(type) {
 	case float64, bool:
@@ -81,51 +81,5 @@ func walkNumericPaths(v any, path string, visit func(string)) {
 		for _, e := range t {
 			walkNumericPaths(e, path, visit)
 		}
-	}
-}
-
-// TestGoldenMetricsIntervalsCharted: the Intervals time-series data —
-// the dashboard's per-interval charts — must aggregate into series
-// with one sample per interval, not collapse to a single value.
-func TestGoldenMetricsIntervalsCharted(t *testing.T) {
-	goldens, _ := filepath.Glob(filepath.Join("..", "pipeline", "testdata", "golden_metrics_*.json"))
-	charted := false
-	for _, golden := range goldens {
-		data, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Intervals []any `json:"Intervals"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil || len(doc.Intervals) < 2 {
-			continue // this golden carries no interval sampling
-		}
-		db, _ := openTestDB(t)
-		name := filepath.Base(golden)
-		if _, _, err := db.Ingest(FormatAuto, "c1", name, data); err != nil {
-			t.Fatal(err)
-		}
-		prefix := "metrics." + strings.TrimSuffix(name, ".json") + ".Intervals."
-		for _, s := range db.SeriesNames() {
-			if !strings.HasPrefix(s, prefix) {
-				continue
-			}
-			charted = true
-			pts := db.Series(s)
-			if len(pts) != 1 {
-				t.Fatalf("%s: %d points, want 1 commit", s, len(pts))
-			}
-			if got := len(pts[0].Samples); got != len(doc.Intervals) {
-				// Nested arrays inside one interval can multiply samples;
-				// fewer than the interval count means data was dropped.
-				if got < len(doc.Intervals) {
-					t.Errorf("%s: %d samples for %d intervals", s, got, len(doc.Intervals))
-				}
-			}
-		}
-	}
-	if !charted {
-		t.Skip("no golden carries >=2 intervals; interval charting not exercised")
 	}
 }

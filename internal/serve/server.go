@@ -553,18 +553,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	name := req.PathValue("name")
-	known := false
-	for _, id := range sim.ExperimentIDs() {
-		if id == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: fmt.Sprintf("unknown experiment %q (want one of %s)", name, strings.Join(sim.ExperimentIDs(), ", ")),
-			Kind:  KindBadRequest,
-		})
+	if err := sim.CheckExperimentID(name); err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Kind: KindBadRequest})
 		return
 	}
 

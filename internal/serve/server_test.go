@@ -404,21 +404,24 @@ func TestExperimentEndpoint(t *testing.T) {
 		t.Fatalf("unknown experiment = %d, want 400", hres.StatusCode)
 	}
 
-	// tab1 generates scenes but runs no simulations — a cheap happy path.
-	hres, err = http.Get(ts.URL + "/v1/experiments/tab1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		t.Fatalf("tab1 = %d, want 200", hres.StatusCode)
-	}
-	raw, err := io.ReadAll(hres.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "Temple Run") {
-		t.Error("tab1 body missing benchmark table")
+	// tab1 generates scenes but runs no simulations — a cheap happy
+	// path. Ids ignore case, as they do for dtexlbench -exp.
+	for _, id := range []string{"tab1", "TAB1"} {
+		hres, err = http.Get(ts.URL + "/v1/experiments/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(hres.Body)
+		hres.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hres.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", id, hres.StatusCode)
+		}
+		if !strings.Contains(string(raw), "Temple Run") {
+			t.Errorf("%s body missing benchmark table", id)
+		}
 	}
 }
 

@@ -587,6 +587,13 @@ func ExperimentIDs() []string {
 	return ids
 }
 
+// CheckExperimentID returns an error unless id names an experiment,
+// ignoring case as every lookup does.
+func CheckExperimentID(id string) error {
+	_, err := experimentByID(id)
+	return err
+}
+
 // experimentByID looks an experiment up, ignoring case.
 func experimentByID(id string) (*experiment, error) {
 	for _, e := range experiments {

@@ -279,6 +279,21 @@ func TestRunExperimentDispatch(t *testing.T) {
 	}
 }
 
+// TestCheckExperimentID: the check follows the lookup's rule, so case
+// is ignored and anything else that names no experiment is refused.
+func TestCheckExperimentID(t *testing.T) {
+	for _, id := range []string{"fig11", "Fig11", "TAB1", "abl-NUCA"} {
+		if err := CheckExperimentID(id); err != nil {
+			t.Errorf("CheckExperimentID(%q) = %v, want nil", id, err)
+		}
+	}
+	for _, id := range []string{"nope", "fig99", "", " fig11"} {
+		if err := CheckExperimentID(id); err == nil {
+			t.Errorf("CheckExperimentID(%q) = nil, want an error", id)
+		}
+	}
+}
+
 func TestTable1ListsAllGames(t *testing.T) {
 	r := NewRunner(testOptions())
 	var buf bytes.Buffer

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the evaluation
-// uses: the paper's normalized mean-deviation imbalance metric, running
-// accumulators, and five-number summaries for the violin plots of
+// uses: the paper's normalized mean-deviation imbalance metric, means
+// and medians, and five-number summaries for the violin plots of
 // Figs. 14 and 15.
 package stats
 
@@ -57,6 +57,21 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
+// Median returns the median of xs (0 for empty input). The input is
+// not modified.
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if n := len(s); n%2 == 1 {
+		return s[n/2]
+	} else {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+}
+
 // Summary is a five-number summary plus mean, the data behind a violin
 // plot entry.
 type Summary struct {
@@ -101,65 +116,3 @@ func quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Accumulator collects a stream of samples with O(1) memory for mean and
-// extrema plus the raw samples when retention is enabled (needed for
-// Summarize).
-type Accumulator struct {
-	n        int
-	sum      float64
-	min, max float64
-	keep     bool
-	samples  []float64
-}
-
-// NewAccumulator returns an accumulator. If keepSamples is true the raw
-// samples are retained so Summary() can compute quantiles.
-func NewAccumulator(keepSamples bool) *Accumulator {
-	return &Accumulator{keep: keepSamples}
-}
-
-// Add records one sample.
-func (a *Accumulator) Add(x float64) {
-	if a.n == 0 || x < a.min {
-		a.min = x
-	}
-	if a.n == 0 || x > a.max {
-		a.max = x
-	}
-	a.n++
-	a.sum += x
-	if a.keep {
-		a.samples = append(a.samples, x)
-	}
-}
-
-// N returns the number of samples recorded.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the mean of the recorded samples (0 if none).
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sum / float64(a.n)
-}
-
-// Min returns the smallest recorded sample (0 if none).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest recorded sample (0 if none).
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Summary returns the five-number summary. It panics if the accumulator
-// was created without sample retention and samples were added, because
-// quantiles would silently be wrong.
-func (a *Accumulator) Summary() Summary {
-	if !a.keep && a.n > 0 {
-		panic("stats: Summary requires an accumulator with sample retention")
-	}
-	return Summarize(a.samples)
-}
-
-// Samples returns the retained raw samples (nil when retention is off).
-func (a *Accumulator) Samples() []float64 { return a.samples }

@@ -69,6 +69,30 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
+func TestMedian(t *testing.T) {
+	cases := []struct {
+		in   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{7}, 7},
+		{[]float64{3, 1}, 2},
+		{[]float64{9, 1, 5}, 5},
+		{[]float64{4, 1, 3, 2}, 2.5},
+	}
+	for _, tc := range cases {
+		if got := Median(tc.in); got != tc.want {
+			t.Errorf("Median(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	// Median must not mutate its input.
+	in := []float64{3, 1, 2}
+	Median(in)
+	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
+		t.Errorf("Median mutated its input: %v", in)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{4, 1, 3, 2, 5})
 	if s.N != 5 || s.Min != 1 || s.Max != 5 || !almost(s.Median, 3) || !almost(s.Mean, 3) {
@@ -99,41 +123,5 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	Summarize(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	a := NewAccumulator(true)
-	for _, x := range []float64{3, 1, 4, 1, 5} {
-		a.Add(x)
-	}
-	if a.N() != 5 || a.Min() != 1 || a.Max() != 5 || !almost(a.Mean(), 2.8) {
-		t.Errorf("accumulator state: n=%d min=%v max=%v mean=%v", a.N(), a.Min(), a.Max(), a.Mean())
-	}
-	s := a.Summary()
-	if s.N != 5 || s.Median != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-}
-
-func TestAccumulatorNoRetentionPanics(t *testing.T) {
-	a := NewAccumulator(false)
-	a.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Summary on non-retaining accumulator did not panic")
-		}
-	}()
-	a.Summary()
-}
-
-func TestAccumulatorEmpty(t *testing.T) {
-	a := NewAccumulator(false)
-	if a.Mean() != 0 || a.N() != 0 {
-		t.Error("empty accumulator not zero")
-	}
-	// Summary on an empty non-retaining accumulator is legal.
-	if s := a.Summary(); s != (Summary{}) {
-		t.Errorf("empty summary = %+v", s)
 	}
 }
